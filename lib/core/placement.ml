@@ -21,9 +21,12 @@ type t = {
   elem_size : int;
   capacity_elems : int;
   buf : bytes;
-  tracker : Vreassembly.t;  (* reuses interval tracking for fill state *)
-  occ : bytes;  (* one byte per element: the element holds placed data *)
+  occ : bytes;
+      (* one byte per element: 0 = empty, 1 = placed (covered by a
+         placed or restored run), 2 = marked only by [lock_span] *)
   lck : bytes;  (* one byte per element: the data is verified-locked *)
+  mutable placed : int;  (* elements whose [occ] byte is 1 *)
+  mutable lock_only : int;  (* elements whose [occ] byte is 2 *)
   mutable conflicts_seen : int;
   mutable conflicts_rejected : int;
   mutable quarantined : int;
@@ -39,9 +42,10 @@ let create ~level ~base_sn ~capacity_elems ~elem_size =
     elem_size;
     capacity_elems;
     buf = Bytes.make (capacity_elems * elem_size) '\000';
-    tracker = Vreassembly.create ();
     occ = Bytes.make capacity_elems '\000';
     lck = Bytes.make capacity_elems '\000';
+    placed = 0;
+    lock_only = 0;
     conflicts_seen = 0;
     conflicts_rejected = 0;
     quarantined = 0;
@@ -58,71 +62,119 @@ let sn_of p (c : Chunk.t) =
 let occupied p e = Bytes.get p.occ e <> '\000'
 let is_locked p e = Bytes.get p.lck e <> '\000'
 
-(* Do element [e] of the buffer and element [i] of [src] hold the same
-   bytes? *)
-let same p ~src i e =
+(* Do element [e] of the buffer and the element at byte [pos] of [src]
+   hold the same bytes? *)
+let same p src pos e =
   let es = p.elem_size in
-  let rec go k =
-    k = es
-    || Bytes.get src ((i * es) + k) = Bytes.get p.buf ((e * es) + k)
-       && go (k + 1)
-  in
-  go 0
-
-(* The first-verified-wins policy, one element at a time.  [verified]
-   marks a write made on behalf of a TPDU whose WSC-2 parity has already
-   passed; such a write may reclaim bytes from an unverified squatter but
-   must never touch a locked (verified) region that disagrees with it. *)
-let apply p ~sn ~len ~src ~verified ~conn ~tpdu =
-  let es = p.elem_size in
-  let fresh = ref [] and benign = ref [] and conflicts = ref [] in
-  let push acc e =
-    match !acc with
-    | (s, l) :: rest when s + l = e -> acc := (s, l + 1) :: rest
-    | _ -> acc := (e, 1) :: !acc
-  in
-  let push_conflict e k =
-    match !conflicts with
-    | (s, l, k') :: rest when s + l = e && k' = k ->
-        conflicts := (s, l + 1, k') :: rest
-    | _ -> conflicts := (e, 1, k) :: !conflicts
-  in
-  for i = 0 to len - 1 do
-    let e = sn + i in
-    if not (occupied p e) then begin
-      Bytes.blit src (i * es) p.buf (e * es) es;
-      Bytes.set p.occ e '\001';
-      push fresh e
-    end
-    else if same p ~src i e then push benign e
-    else if is_locked p e then begin
-      (* the resident bytes are WSC-2-verified: the newcomer is counted,
-         traced and discarded — whoever verified first owns the bytes *)
-      p.conflicts_seen <- p.conflicts_seen + 1;
-      p.conflicts_rejected <- p.conflicts_rejected + 1;
-      if verified then p.verified_overwrites <- p.verified_overwrites + 1;
-      push_conflict e Verified_conflict
-    end
-    else if verified then begin
-      (* a verified newcomer reclaims bytes an unverified squatter wrote *)
-      p.conflicts_seen <- p.conflicts_seen + 1;
-      Bytes.blit src (i * es) p.buf (e * es) es;
-      push fresh e
-    end
-    else begin
-      (* neither side is verified yet: leave the resident bytes alone and
-         report the run so the caller can quarantine the newcomer until a
-         parity settles the dispute *)
-      p.conflicts_seen <- p.conflicts_seen + 1;
-      p.quarantined <- p.quarantined + 1;
-      push_conflict e Fresh_conflict
-    end
+  let b = e * es in
+  let k = ref 0 in
+  while !k < es && Bytes.get src (pos + !k) = Bytes.get p.buf (b + !k) do
+    incr k
   done;
+  !k = es
+
+(* Mark [sn, sn+len) as covered by a placed or restored run, once its
+   bytes are in: every element counts as placed from here on, lock-only
+   marks included. *)
+let cover p ~sn ~len =
+  for e = sn to sn + len - 1 do
+    match Bytes.get p.occ e with
+    | '\000' ->
+        Bytes.set p.occ e '\001';
+        p.placed <- p.placed + 1
+    | '\002' ->
+        Bytes.set p.occ e '\001';
+        p.placed <- p.placed + 1;
+        p.lock_only <- p.lock_only - 1
+    | _ -> ()
+  done
+
+(* What happened to one element, as reported: written (fresh or
+   reclaimed from a squatter), a benign duplicate, discarded against
+   verified bytes, or held for quarantine. *)
+type outcome = Written | Benign | Rejected | Held
+
+(* The first-verified-wins policy over the element run [sn, sn+len)
+   whose bytes start at [src.[pos]].  [verified] marks a write made on
+   behalf of a TPDU whose WSC-2 parity has already passed; such a write
+   may reclaim bytes from an unverified squatter but must never touch a
+   locked (verified) region that disagrees with it.
+
+   Outcomes are tracked run-length: the current run is a start, a length
+   and a class, and a list cell is consed only when a run ends.  Each
+   maximal unoccupied stretch is written with one blit. *)
+let apply p ~sn ~len ~src ~pos ~verified ~conn ~tpdu =
+  let es = p.elem_size in
+  let stop = sn + len in
+  let fresh = ref [] and benign = ref [] and conflicts = ref [] in
+  let close k s l =
+    if l > 0 then
+      match k with
+      | Written -> fresh := (s, l) :: !fresh
+      | Benign -> benign := (s, l) :: !benign
+      | Rejected -> conflicts := (s, l, Verified_conflict) :: !conflicts
+      | Held -> conflicts := (s, l, Fresh_conflict) :: !conflicts
+  in
+  let run_s = ref sn and run_l = ref 0 and run_k = ref Written in
+  let e = ref sn in
+  while !e < stop do
+    let e0 = !e in
+    let at = pos + ((e0 - sn) * es) in
+    let k =
+      if not (occupied p e0) then begin
+        let e1 = ref (e0 + 1) in
+        while !e1 < stop && not (occupied p !e1) do
+          incr e1
+        done;
+        let n = !e1 - e0 in
+        Bytes.blit src at p.buf (e0 * es) (n * es);
+        Bytes.fill p.occ e0 n '\001';
+        p.placed <- p.placed + n;
+        e := !e1;
+        Written
+      end
+      else begin
+        e := e0 + 1;
+        if same p src at e0 then Benign
+        else if is_locked p e0 then begin
+          (* the resident bytes are WSC-2-verified: the newcomer is
+             counted, traced and discarded — whoever verified first owns
+             the bytes *)
+          p.conflicts_seen <- p.conflicts_seen + 1;
+          p.conflicts_rejected <- p.conflicts_rejected + 1;
+          if verified then p.verified_overwrites <- p.verified_overwrites + 1;
+          Rejected
+        end
+        else if verified then begin
+          (* a verified newcomer reclaims bytes an unverified squatter
+             wrote *)
+          p.conflicts_seen <- p.conflicts_seen + 1;
+          Bytes.blit src at p.buf (e0 * es) es;
+          Written
+        end
+        else begin
+          (* neither side is verified yet: leave the resident bytes
+             alone and report the run so the caller can quarantine the
+             newcomer until a parity settles the dispute *)
+          p.conflicts_seen <- p.conflicts_seen + 1;
+          p.quarantined <- p.quarantined + 1;
+          Held
+        end
+      end
+    in
+    if k <> !run_k then begin
+      close !run_k !run_s !run_l;
+      run_k := k;
+      run_s := e0;
+      run_l := 0
+    end;
+    run_l := !run_l + (!e - e0)
+  done;
+  close !run_k !run_s !run_l;
   (* overlap-tolerant accounting: every covered element counts once,
-     however the covering runs arrive (a conflicting element was already
-     occupied, so the whole-run insert stays exact) *)
-  (match Vreassembly.insert_new p.tracker ~sn ~len ~st:false with
-  | Ok _ | Error `Inconsistent -> ());
+     however the covering runs arrive; the loop left every element
+     occupied, so only lock-only marks can still need counting *)
+  if p.lock_only > 0 then cover p ~sn ~len;
   let conflicts = List.rev !conflicts in
   if conflicts <> [] && Obs.enabled && Obs.Trace.active () then
     List.iter
@@ -147,25 +199,35 @@ let apply p ~sn ~len ~src ~verified ~conn ~tpdu =
     rp_conflicts = conflicts;
   }
 
-let checked op p chunk ~verified =
-  if not (Chunk.is_data chunk) then
-    Error (Printf.sprintf "Placement.%s: not a data chunk" op)
-  else if chunk.Chunk.header.Header.size <> p.elem_size then
+(* The one entry point every placement goes through: [len] elements of
+   [size] bytes starting at [src.[off]], labelled [sn] at the
+   placement's level. *)
+let slice op p ~verified ~size ~sn ~conn ~tpdu src ~off ~len =
+  if size <> p.elem_size then
     Error (Printf.sprintf "Placement.%s: element size mismatch" op)
   else begin
-    let sn = sn_of p chunk - p.base_sn in
-    let len = chunk.Chunk.header.Header.len in
+    let sn = sn - p.base_sn in
     (* [sn > capacity - len] rather than [sn + len > capacity]: a decoded
        SN can be close to [max_int], where the addition wraps negative
        and would sail past the window check into Bytes.blit. *)
-    if sn < 0 || len > p.capacity_elems || sn > p.capacity_elems - len then
-      Error (Printf.sprintf "Placement.%s: outside destination window" op)
-    else
-      let h = chunk.Chunk.header in
-      Ok
-        (apply p ~sn ~len ~src:chunk.Chunk.payload ~verified
-           ~conn:h.Header.c.Ftuple.id ~tpdu:h.Header.t.Ftuple.id)
+    if len < 1 || sn < 0 || len > p.capacity_elems || sn > p.capacity_elems - len
+    then Error (Printf.sprintf "Placement.%s: outside destination window" op)
+    else if off < 0 || off > Bytes.length src - (len * size) then
+      Error (Printf.sprintf "Placement.%s: source slice out of bounds" op)
+    else Ok (apply p ~sn ~len ~src ~pos:off ~verified ~conn ~tpdu)
   end
+
+let place_slice p ~verified ~sn ~size ~conn ~tpdu src ~off ~len =
+  slice "place_slice" p ~verified ~size ~sn ~conn ~tpdu src ~off ~len
+
+let checked op p chunk ~verified =
+  if not (Chunk.is_data chunk) then
+    Error (Printf.sprintf "Placement.%s: not a data chunk" op)
+  else
+    let h = chunk.Chunk.header in
+    slice op p ~verified ~size:h.Header.size ~sn:(sn_of p chunk)
+      ~conn:h.Header.c.Ftuple.id ~tpdu:h.Header.t.Ftuple.id
+      chunk.Chunk.payload ~off:0 ~len:h.Header.len
 
 let place_checked p chunk = checked "place" p chunk ~verified:false
 let place p chunk = Result.map (fun (_ : report) -> ()) (place_checked p chunk)
@@ -177,11 +239,31 @@ let lock_span p ~sn ~len =
   then begin
     Bytes.fill p.lck sn len '\001';
     (* locked implies occupied: verified bytes are content, whatever a
-       snapshot restored around them *)
-    Bytes.fill p.occ sn len '\001'
+       snapshot restored around them.  An element no run covered gets
+       its own mark, so [spans] keeps meaning the placed runs. *)
+    for e = sn to sn + len - 1 do
+      if Bytes.get p.occ e = '\000' then begin
+        Bytes.set p.occ e '\002';
+        p.lock_only <- p.lock_only + 1
+      end
+    done
   end
 
-let spans p = Vreassembly.spans p.tracker
+(* Maximal element runs whose placed-ness ([occ] byte 1) is [placed],
+   ascending; built back to front so no reversal is needed. *)
+let runs p ~placed =
+  let acc = ref [] and e = ref (p.capacity_elems - 1) in
+  while !e >= 0 do
+    let hi = !e in
+    let here = Bytes.get p.occ hi = '\001' in
+    while !e >= 0 && (Bytes.get p.occ !e = '\001') = here do
+      decr e
+    done;
+    if here = placed then acc := (!e + 1, hi - !e) :: !acc
+  done;
+  !acc
+
+let spans p = runs p ~placed:true
 
 let restore_span p ~sn data =
   let n = Bytes.length data in
@@ -193,16 +275,14 @@ let restore_span p ~sn data =
       Error "Placement.restore_span: outside destination window"
     else begin
       Bytes.blit data 0 p.buf (sn * p.elem_size) n;
-      Bytes.fill p.occ sn len '\001';
-      (match Vreassembly.insert_new p.tracker ~sn ~len ~st:false with
-      | Ok _ | Error `Inconsistent -> ());
+      cover p ~sn ~len;
       Ok ()
     end
   end
 
-let placed_elems p = Vreassembly.received_elems p.tracker
+let placed_elems p = p.placed
 
-let is_full p = placed_elems p = p.capacity_elems
+let is_full p = p.placed = p.capacity_elems
 
 let contents p = p.buf
 
@@ -214,14 +294,4 @@ let overlap_stats p =
     os_verified_overwrites = p.verified_overwrites;
   }
 
-let holes p =
-  let rec gaps expect spans =
-    match spans with
-    | [] ->
-        if expect < p.capacity_elems then [ (expect, p.capacity_elems - expect) ]
-        else []
-    | (s, l) :: rest ->
-        if s > expect then (expect, s - expect) :: gaps (s + l) rest
-        else gaps (s + l) rest
-  in
-  gaps 0 (Vreassembly.spans p.tracker)
+let holes p = runs p ~placed:false

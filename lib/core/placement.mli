@@ -90,21 +90,48 @@ val place_verified : t -> Chunk.t -> (report, string) result
     The caller should then {!lock_span} the runs it now owns
     ([rp_fresh @ rp_benign]). *)
 
+val place_slice :
+  t ->
+  verified:bool ->
+  sn:int ->
+  size:int ->
+  conn:int ->
+  tpdu:int ->
+  bytes ->
+  off:int ->
+  len:int ->
+  (report, string) result
+(** [place_slice p ~verified ~sn ~size ~conn ~tpdu src ~off ~len] places
+    the [len] elements of [size] bytes that start at byte [off] of
+    [src], labelled [sn] at [p]'s level, straight from [src]: the entry
+    point {!place_checked} ([~verified:false]) and {!place_verified}
+    ([~verified:true]) wrap, for a caller that holds a run of a larger
+    payload and should not copy it out first.  [conn] and [tpdu] only
+    label {!Obs.Trace.Overlap} events.  Fails on element-size mismatch,
+    an out-of-window run, or a slice that overruns [src].  [src] is only
+    read during the call; nothing keeps a reference to it. *)
+
 val lock_span : t -> sn:int -> len:int -> unit
 (** Mark an element run (relative to [base_sn]) as verified: its bytes
     can never again be overwritten by conflicting data.  Out-of-window
-    runs are ignored.  Locking also marks the run as placed. *)
+    runs are ignored.  Locking also makes the run occupied, so the
+    policy treats its bytes as content; an element that no placed or
+    restored run covers still stays out of {!spans} and
+    {!placed_elems} until one does. *)
 
 val overlap_stats : t -> overlap_stats
 
 val placed_elems : t -> int
-(** Distinct elements placed so far. *)
+(** Distinct elements covered by a placed or restored run so far;
+    constant time. *)
 
 val spans : t -> (int * int) list
 (** Placed element runs as [(sn, len)] relative to [base_sn], ascending
-    and coalesced — with {!contents} this is the whole recoverable
-    placement state (crash-recovery snapshots serialise exactly these
-    runs and their bytes). *)
+    and coalesced: the union of every run placed (whatever its
+    per-element outcome) or restored.  With {!contents} this is the
+    whole recoverable placement state (crash-recovery snapshots
+    serialise exactly these runs and their bytes).  Computed on demand,
+    in time linear in the capacity. *)
 
 val restore_span : t -> sn:int -> bytes -> (unit, string) result
 (** [restore_span p ~sn data] re-places a previously placed run from a
@@ -120,4 +147,5 @@ val contents : t -> bytes
 (** The destination buffer (not a copy). *)
 
 val holes : t -> (int * int) list
-(** Unfilled element runs as [(sn, len)] relative to [base_sn]. *)
+(** Element runs outside {!spans}, as [(sn, len)] relative to
+    [base_sn], ascending; computed on demand. *)

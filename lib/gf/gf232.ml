@@ -75,42 +75,35 @@ let top4_overflow = Array.init 16 (fun n -> Ref.mul n reduction)
 let[@inline] mul_x4 v =
   ((v lsl 4) land mask32) lxor Array.unsafe_get top4_overflow (v lsr 28)
 
-(* Windowed multiplication, 4-bit window over [b]: build the 16 nibble
-   multiples of [a] with three shift-reduce doublings, then fold the 8
-   nibbles of [b] with one table-driven x^4 step each.  Replaces the 32
+(* The nibble multiple [n (x) a], selected without a table from the
+   four shift-reduce doublings of [a]: each set bit of [n] masks in its
+   doubling.  Branch-free and allocation-free, so every domain can call
+   it without shared scratch space. *)
+let[@inline] nib a a2 a4 a8 n =
+  (-(n land 1) land a)
+  lxor (-((n lsr 1) land 1) land a2)
+  lxor (-((n lsr 2) land 1) land a4)
+  lxor (-((n lsr 3) land 1) land a8)
+
+(* Windowed multiplication, 4-bit window over [b]: the nibble multiples
+   of [a] come from three shift-reduce doublings, then the 8 nibbles of
+   [b] fold in with one table-driven x^4 step each.  Replaces the 32
    branchy shift/reduce iterations of [Ref.mul] on the anchoring
    multiplies of the WSC-2 kernels. *)
 let mul a b =
   if a = 0 || b = 0 then 0
   else begin
-    let w = Array.make 16 0 in
     let a2 = xtime a in
     let a4 = xtime a2 in
     let a8 = xtime a4 in
-    w.(1) <- a;
-    w.(2) <- a2;
-    w.(3) <- a2 lxor a;
-    w.(4) <- a4;
-    w.(5) <- a4 lxor a;
-    w.(6) <- a4 lxor a2;
-    w.(7) <- a4 lxor a2 lxor a;
-    w.(8) <- a8;
-    w.(9) <- a8 lxor a;
-    w.(10) <- a8 lxor a2;
-    w.(11) <- a8 lxor a2 lxor a;
-    w.(12) <- a8 lxor a4;
-    w.(13) <- a8 lxor a4 lxor a;
-    w.(14) <- a8 lxor a4 lxor a2;
-    w.(15) <- a8 lxor a4 lxor a2 lxor a;
-    let acc = ref (Array.unsafe_get w ((b lsr 28) land 0xF)) in
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 24) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 20) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 16) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 12) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 8) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w ((b lsr 4) land 0xF);
-    acc := mul_x4 !acc lxor Array.unsafe_get w (b land 0xF);
-    !acc
+    let acc = nib a a2 a4 a8 ((b lsr 28) land 0xF) in
+    let acc = mul_x4 acc lxor nib a a2 a4 a8 ((b lsr 24) land 0xF) in
+    let acc = mul_x4 acc lxor nib a a2 a4 a8 ((b lsr 20) land 0xF) in
+    let acc = mul_x4 acc lxor nib a a2 a4 a8 ((b lsr 16) land 0xF) in
+    let acc = mul_x4 acc lxor nib a a2 a4 a8 ((b lsr 12) land 0xF) in
+    let acc = mul_x4 acc lxor nib a a2 a4 a8 ((b lsr 8) land 0xF) in
+    let acc = mul_x4 acc lxor nib a a2 a4 a8 ((b lsr 4) land 0xF) in
+    mul_x4 acc lxor nib a a2 a4 a8 (b land 0xF)
   end
 
 let pow a n =

@@ -56,11 +56,12 @@ val xtime : t -> t
 
 val mul : t -> t -> t
 (** Carry-less polynomial multiplication reduced modulo [m(x)].
-    Table-driven: a 4-bit window over the second operand — the 16
-    nibble multiples of the first operand are built with three
+    Table-driven: a 4-bit window over the second operand — each nibble
+    multiple of the first operand is masked together from its three
     shift-reduce doublings, then folded with one table-driven [x^4]
-    step per nibble.  Bit-identical to {!Ref.mul} on valid elements
-    (differentially tested). *)
+    step per nibble.  Allocates nothing, so it is safe to call from
+    several domains at once.  Bit-identical to {!Ref.mul} on valid
+    elements (differentially tested). *)
 
 val pow : t -> int -> t
 (** [pow a n] is [a] raised to the [n]-th power by square-and-multiply.

@@ -320,55 +320,53 @@ module Receiver = struct
     rx
 
   (* Place the fresh sub-run [t_sn, t_sn+elems) of [chunk] straight into
-     the application buffer — spatial reordering, one pass. *)
+     the application buffer from the chunk's own payload — spatial
+     reordering, one pass, no intermediate copy.  Only a run that must
+     wait in quarantine is copied out, into a sub-chunk of its own. *)
   let place_fresh rx chunk ~t_sn ~elems =
     let h = chunk.Chunk.header in
     let off_elems = t_sn - h.Header.t.Ftuple.sn in
     let size = h.Header.size in
-    let sub_c =
-      Ftuple.v ~id:h.Header.c.Ftuple.id
-        ~sn:(h.Header.c.Ftuple.sn + off_elems)
-        ()
-    in
-    let sub_payload =
-      Bytes.sub chunk.Chunk.payload (off_elems * size) (elems * size)
-    in
+    let c_sn = h.Header.c.Ftuple.sn + off_elems in
+    let t_id = h.Header.t.Ftuple.id in
+    let off = off_elems * size and nbytes = elems * size in
+    (* One combined pass: read while computing, write to the final
+       location. *)
+    Busmodel.mem_to_cpu rx.bus nbytes;
+    Busmodel.cpu_to_mem rx.bus nbytes;
     match
-      Chunk.data ~size ~c:sub_c
-        ~t:(Ftuple.v ~id:h.Header.t.Ftuple.id ~sn:t_sn ())
-        ~x:h.Header.x sub_payload
+      Placement.place_slice rx.placement ~verified:false ~sn:c_sn ~size
+        ~conn:h.Header.c.Ftuple.id ~tpdu:t_id chunk.Chunk.payload ~off
+        ~len:elems
     with
+    | Ok rep ->
+        (match Hashtbl.find_opt rx.corrob t_id with
+        | Some m ->
+            (* only bytes this TPDU actually covers (fresh writes and
+               identical duplicates) are credited; conflicting runs
+               either lost to a verified owner (discarded by placement)
+               or wait in quarantine for this TPDU's parity *)
+            m.placed_runs <-
+              rep.Placement.rp_fresh @ rep.Placement.rp_benign @ m.placed_runs;
+            if
+              List.exists
+                (fun (_, _, k) -> k = Placement.Fresh_conflict)
+                rep.Placement.rp_conflicts
+            then begin
+              match
+                Chunk.data ~size
+                  ~c:(Ftuple.v ~id:h.Header.c.Ftuple.id ~sn:c_sn ())
+                  ~t:(Ftuple.v ~id:t_id ~sn:t_sn ())
+                  ~x:h.Header.x
+                  (Bytes.sub chunk.Chunk.payload off nbytes)
+              with
+              | Ok sub -> m.quarantine <- (sub, c_sn, elems) :: m.quarantine
+              | Error _ -> ()
+            end
+        | None -> ());
+        (* Available to the application the instant it arrived. *)
+        Netsim.Stats.add rx.element_delay 0.0
     | Error _ -> ()
-    | Ok sub ->
-        let nbytes = elems * size in
-        (* One combined pass: read while computing, write to the final
-           location. *)
-        Busmodel.mem_to_cpu rx.bus nbytes;
-        Busmodel.cpu_to_mem rx.bus nbytes;
-        (match Placement.place_checked rx.placement sub with
-        | Ok rep ->
-            (match Hashtbl.find_opt rx.corrob h.Header.t.Ftuple.id with
-            | Some m ->
-                (* only bytes this TPDU actually covers (fresh writes and
-                   identical duplicates) are credited; conflicting runs
-                   either lost to a verified owner (discarded by
-                   placement) or wait in quarantine for this TPDU's
-                   parity *)
-                m.placed_runs <-
-                  rep.Placement.rp_fresh @ rep.Placement.rp_benign
-                  @ m.placed_runs;
-                if
-                  List.exists
-                    (fun (_, _, k) -> k = Placement.Fresh_conflict)
-                    rep.Placement.rp_conflicts
-                then
-                  m.quarantine <-
-                    (sub, h.Header.c.Ftuple.sn + off_elems, elems)
-                    :: m.quarantine
-            | None -> ());
-            (* Available to the application the instant it arrived. *)
-            Netsim.Stats.add rx.element_delay 0.0
-        | Error _ -> ())
 
   let corrob rx t_id =
     match Hashtbl.find_opt rx.corrob t_id with

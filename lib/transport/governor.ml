@@ -1,6 +1,19 @@
 type key = { conn : int; tpdu : int }
 
-type entry = { mutable bytes : int; mutable deadline : float; mutable cls : int }
+(* A connection's entries form a doubly linked list, headed from
+   [by_conn], so that [remove_conn] visits only that connection's
+   entries; [nil] ends a list. *)
+type entry = {
+  mutable bytes : int;
+  mutable deadline : float;
+  mutable cls : int;
+  tpdu : int;
+  mutable prev : entry;
+  mutable next : entry;
+}
+
+let rec nil =
+  { bytes = 0; deadline = 0.0; cls = 0; tpdu = -1; prev = nil; next = nil }
 
 type stats = {
   accounted_bytes : int;
@@ -14,6 +27,7 @@ type t = {
   budget : int;  (* <= 0: unlimited *)
   ttl : float;
   tbl : (key, entry) Hashtbl.t;
+  by_conn : (int, entry) Hashtbl.t;  (* conn -> head of its entries *)
   mutable on_evict : key -> unit;
   mutable total : int;
   mutable high : int;
@@ -42,6 +56,7 @@ let create ?(on_evict = fun _ -> ()) ~budget_bytes ~ttl () =
     budget = budget_bytes;
     ttl;
     tbl = Hashtbl.create 64;
+    by_conn = Hashtbl.create 16;
     on_evict;
     total = 0;
     high = 0;
@@ -67,12 +82,26 @@ let oldest g =
       | _ -> Some (k, e.deadline, e.cls))
     g.tbl None
 
+let add g (k : key) ~bytes ~deadline ~cls =
+  let e = { bytes; deadline; cls; tpdu = k.tpdu; prev = nil; next = nil } in
+  Hashtbl.add g.tbl k e;
+  (match Hashtbl.find_opt g.by_conn k.conn with
+  | Some head ->
+      e.next <- head;
+      head.prev <- e
+  | None -> ());
+  Hashtbl.replace g.by_conn k.conn e
+
 let drop g k =
   match Hashtbl.find_opt g.tbl k with
   | None -> ()
   | Some e ->
       g.total <- g.total - e.bytes;
-      Hashtbl.remove g.tbl k
+      Hashtbl.remove g.tbl k;
+      if e.prev != nil then e.prev.next <- e.next
+      else if e.next != nil then Hashtbl.replace g.by_conn k.conn e.next
+      else Hashtbl.remove g.by_conn k.conn;
+      if e.next != nil then e.next.prev <- e.prev
 
 let touch ?(cls = 0) g ~key ~bytes ~now =
   let bytes = max 0 bytes in
@@ -84,7 +113,7 @@ let touch ?(cls = 0) g ~key ~bytes ~now =
       e.deadline <- now +. g.ttl;
       e.cls <- cls
   | None ->
-      Hashtbl.add g.tbl key { bytes; deadline = now +. g.ttl; cls };
+      add g key ~bytes ~deadline:(now +. g.ttl) ~cls;
       g.total <- g.total + bytes);
   (* Budget enforcement is synchronous: collect victims first so the
      disposal callbacks (which may remove further entries, e.g. a whole
@@ -115,10 +144,18 @@ let remove g ~key =
   if Obs.enabled then Obs.Metrics.set g_occ g.total
 
 let remove_conn g ~conn =
-  let keys =
-    Hashtbl.fold (fun k _ acc -> if k.conn = conn then k :: acc else acc) g.tbl []
+  let rec go e =
+    if e != nil then begin
+      g.total <- g.total - e.bytes;
+      Hashtbl.remove g.tbl { conn; tpdu = e.tpdu };
+      go e.next
+    end
   in
-  List.iter (drop g) keys;
+  (match Hashtbl.find_opt g.by_conn conn with
+  | Some head ->
+      Hashtbl.remove g.by_conn conn;
+      go head
+  | None -> ());
   if Obs.enabled then Obs.Metrics.set g_occ g.total
 
 let mem g ~key = Hashtbl.mem g.tbl key

@@ -62,7 +62,8 @@ val remove : t -> key:key -> unit
 (** Forget an entry without counting an eviction (normal completion). *)
 
 val remove_conn : t -> conn:int -> unit
-(** Forget every entry of one connection (close / connection GC). *)
+(** Forget every entry of one connection (close / connection GC), in
+    time proportional to that connection's entries, not the table's. *)
 
 val mem : t -> key:key -> bool
 

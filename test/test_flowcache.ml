@@ -297,6 +297,140 @@ let prop_permuted_mix =
       done;
       epochs_equal m_slow m_fast)
 
+(* --- buffer ownership ---------------------------------------------- *)
+
+(* A forged single-chunk TPDU over connection elements [sn, sn+len):
+   divergent bytes, an ED chunk agreeing with its C.SN - T.SN delta (so
+   corroboration admits the bytes) and a garbage parity (so it never
+   verifies).  Placed ahead of the honest TPDU, it forces that TPDU's
+   run into quarantine until its own parity passes. *)
+let forged_packet ~conn ~idx ~sn ~len ~key =
+  let t_id = 7_000 + idx in
+  let payload =
+    Bytes.init (len * 4) (fun i -> Char.chr ((key + (i * 29)) land 0xFF))
+  in
+  let data =
+    Result.get_ok
+      (Chunk.data ~size:4
+         ~c:(Ftuple.v ~id:conn ~sn ())
+         ~t:(Ftuple.v ~st:true ~id:t_id ~sn:0 ())
+         ~x:(Ftuple.v ~id:t_id ~sn:0 ())
+         payload)
+  in
+  let ed_payload = Bytes.make 12 '\000' in
+  for i = 0 to 7 do
+    Bytes.set ed_payload i (Char.chr ((key + (i * 41)) land 0xFF))
+  done;
+  Bytes.set_int32_be ed_payload 8 (Int32.of_int len);
+  let ed =
+    Result.get_ok
+      (Chunk.control ~kind:Ctype.ed
+         ~c:(Ftuple.v ~id:conn ~sn ())
+         ~t:(Ftuple.v ~id:t_id ~sn:0 ())
+         ~x:Ftuple.zero ed_payload)
+  in
+  match Wire.encode_packet [ data; ed ] with
+  | Ok b -> b
+  | Error e -> failwith e
+
+let gen_ownership_case =
+  QCheck2.Gen.(
+    let* n_conns = int_range 1 3 in
+    let* sizes = list_repeat n_conns (map (fun n -> 4 * n) (int_range 16 160)) in
+    let* seed = int_range 0 255 in
+    let* forged =
+      list_size (int_range 0 6)
+        (let* conn = int_range 1 n_conns in
+         let* sn = int_range 0 15 in
+         let* len = int_range 1 12 in
+         let* key = int_range 1 255 in
+         return (conn, sn, len, key))
+    in
+    let* forged_first = bool in
+    let* shuffle_seed = int_range 0 0xFFFF in
+    let* batch = int_range 1 9 in
+    let* scribble_seed = int_range 0 0xFFFF in
+    return (sizes, seed, forged, forged_first, shuffle_seed, batch, scribble_seed))
+
+(* Ownership contract of [ingest_batch]: once it returns, the caller
+   owns the packet buffers again and may reuse them.  Overwriting every
+   packet of each batch with random bytes right after the call must
+   leave delivery, the ACKs sent (one per verified TPDU) and the
+   verifier's pass/fail counts exactly as in an untouched run. *)
+let prop_batch_buffer_ownership
+    (sizes, seed, forged, forged_first, shuffle_seed, batch, scribble_seed) =
+  let conns =
+    List.mapi
+      (fun i nbytes -> snd (conn_packets ~conn:(i + 1) ~seed:(seed + i) nbytes))
+      sizes
+  in
+  let forged =
+    List.mapi
+      (fun idx (conn, sn, len, key) -> forged_packet ~conn ~idx ~sn ~len ~key)
+      forged
+  in
+  (* the Opens, then (half the time) the forgeries so that they win the
+     race to the shared elements, then everything else shuffled *)
+  let opens = List.map List.hd conns in
+  let rest = List.concat_map List.tl conns in
+  let front, rest =
+    if forged_first then (opens @ forged, rest) else (opens, rest @ forged)
+  in
+  let rest = Array.of_list rest in
+  let rng = Netsim.Rng.create ~seed:shuffle_seed in
+  for i = Array.length rest - 1 downto 1 do
+    let j = Netsim.Rng.int rng (i + 1) in
+    let t = rest.(i) in
+    rest.(i) <- rest.(j);
+    rest.(j) <- t
+  done;
+  let mix = Array.append (Array.of_list front) rest in
+  let passed = Obs.Metrics.counter "edc_tpdus_passed_total" in
+  let failed = Obs.Metrics.counter "edc_tpdus_failed_total" in
+  let run ~scribble =
+    let acks = ref [] in
+    let engine = Netsim.Engine.create ~seed:42 () in
+    let m =
+      Transport.Multi.create engine ~config:multi_config ~quota_elems:4096
+        ~max_conns:8
+        ~send_ack:(fun b -> acks := Bytes.copy b :: !acks)
+        ()
+    in
+    let p0 = Obs.Metrics.value passed and f0 = Obs.Metrics.value failed in
+    let srng = Random.State.make [| scribble_seed |] in
+    let n = Array.length mix in
+    let i = ref 0 in
+    while !i < n do
+      let k = min batch (n - !i) in
+      (* each packet in a buffer of its own, handed over for the call *)
+      let b = Array.init k (fun j -> Bytes.copy mix.(!i + j)) in
+      Transport.Multi.ingest_batch m b;
+      if scribble then
+        Array.iter
+          (fun p ->
+            Bytes.iteri
+              (fun j _ -> Bytes.set p j (Char.chr (Random.State.int srng 256)))
+              p)
+          b;
+      i := !i + k
+    done;
+    ( m,
+      List.rev !acks,
+      Obs.Metrics.value passed - p0,
+      Obs.Metrics.value failed - f0,
+      Transport.Multi.overlap_stats m )
+  in
+  let m_a, acks_a, pass_a, fail_a, os_a = run ~scribble:false in
+  let m_b, acks_b, pass_b, fail_b, os_b = run ~scribble:true in
+  epochs_equal m_a m_b
+  && List.equal Bytes.equal acks_a acks_b
+  && pass_a = pass_b && fail_a = fail_b && os_a = os_b
+
+let prop_ownership =
+  QCheck2.Test.make
+    ~name:"ingest_batch: scribbling returned packet buffers changes nothing"
+    ~count:80 gen_ownership_case prop_batch_buffer_ownership
+
 (* --- ingest_batch edges ------------------------------------------- *)
 
 let test_batch_empty () =
@@ -451,6 +585,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_scan_garbage;
     QCheck_alcotest.to_alcotest prop_scan_images;
     QCheck_alcotest.to_alcotest prop_permuted_mix;
+    QCheck_alcotest.to_alcotest prop_ownership;
     Alcotest.test_case "ingest_batch of an empty batch" `Quick test_batch_empty;
     Alcotest.test_case "ingest_batch of singleton batches" `Quick
       test_batch_single_packet;

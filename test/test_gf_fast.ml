@@ -133,6 +133,19 @@ let axiom_suite =
         = Gf232.alpha_pow (i + j));
   ]
 
+(* The windowed multiply is called once per chunk by Wsc2.add_bytes,
+   on every verifying domain: it must not allocate. *)
+let test_mul_no_alloc () =
+  let acc = ref 1 in
+  let words =
+    Util.minor_words_of (fun () ->
+        for i = 1 to 10_000 do
+          acc := Gf232.mul (!acc lxor i) (0x9E37_79B9 + i)
+        done)
+  in
+  Alcotest.(check bool) "product computed" true (Gf232.is_valid !acc);
+  Alcotest.(check (float 0.)) "10,000 muls allocate no minor words" 0. words
+
 let suite =
   [
     test_mul_matches_ref;
@@ -142,5 +155,6 @@ let suite =
     test_add_bytes_matches_ref;
     test_add_subbytes_exn_matches;
     test_parity_blit;
+    Alcotest.test_case "mul allocates nothing" `Quick test_mul_no_alloc;
   ]
   @ axiom_suite

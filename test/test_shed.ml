@@ -207,6 +207,83 @@ let prop_governor_budget_and_priority events =
     events;
   !ok && (Gov.stats g).Gov.high_water <= budget
 
+(* [remove_conn] goes through a per-connection key index.  Against a
+   reference that removes the connection's keys one by one with
+   [remove] (what the old whole-table fold did), random
+   touch/remove/remove_conn/sweep sequences under a budget must leave
+   the same surviving entries, total, high-water mark, stats and
+   eviction callbacks after every step. *)
+type gov_op =
+  | G_touch of int * int * int * int * int  (* conn, tpdu, cls, bytes, dt *)
+  | G_remove of int * int
+  | G_remove_conn of int
+  | G_sweep of int
+
+let gen_gov_ops =
+  let open QCheck2.Gen in
+  let conn = int_range 0 3 and tpdu = int_range (-1) 5 in
+  let* budget = oneof [ return 0; int_range 40 200 ] in
+  let* ops =
+    list_size (int_range 1 100)
+      (frequency
+         [
+           ( 6,
+             map
+               (fun ((c, t), (cls, bytes, dt)) -> G_touch (c, t, cls, bytes, dt))
+               (tup2 (tup2 conn tpdu)
+                  (tup3 (int_range 0 2) (int_range 0 60) (int_range 0 2))) );
+           (2, map2 (fun c t -> G_remove (c, t)) conn tpdu);
+           (2, map (fun c -> G_remove_conn c) conn);
+           (1, map (fun dt -> G_sweep dt) (int_range 0 4));
+         ])
+  in
+  return (budget, ops)
+
+let prop_governor_remove_conn (budget, ops) =
+  let keys =
+    List.concat_map
+      (fun conn -> List.init 7 (fun i -> { Gov.conn; tpdu = i - 1 }))
+      [ 0; 1; 2; 3 ]
+  in
+  let mk () =
+    let evicted = ref [] in
+    let g = Gov.create ~budget_bytes:budget ~ttl:3.0 () in
+    Gov.set_on_evict g (fun k -> evicted := k :: !evicted);
+    (g, evicted)
+  in
+  let a, ev_a = mk () and b, ev_b = mk () in
+  let now = ref 0.0 in
+  let same () =
+    Gov.stats a = Gov.stats b
+    && Gov.total a = Gov.total b
+    && Gov.high_water a = Gov.high_water b
+    && !ev_a = !ev_b
+    && List.for_all (fun key -> Gov.mem a ~key = Gov.mem b ~key) keys
+  in
+  List.for_all
+    (fun op ->
+      (match op with
+      | G_touch (conn, tpdu, cls, bytes, dt) ->
+          now := !now +. float_of_int dt;
+          let key = { Gov.conn; tpdu } in
+          Gov.touch ~cls a ~key ~bytes ~now:!now;
+          Gov.touch ~cls b ~key ~bytes ~now:!now
+      | G_remove (conn, tpdu) ->
+          let key = { Gov.conn; tpdu } in
+          Gov.remove a ~key;
+          Gov.remove b ~key
+      | G_remove_conn conn ->
+          Gov.remove_conn a ~conn;
+          List.iter
+            (fun key -> if key.Gov.conn = conn then Gov.remove b ~key)
+            keys
+      | G_sweep dt ->
+          now := !now +. float_of_int dt;
+          Gov.sweep a ~now:!now;
+          Gov.sweep b ~now:!now);
+      same ())
+    ops
+
 (* --- the interleave scheduler --- *)
 
 let mk_stream name cls elems =
@@ -406,6 +483,8 @@ let suite =
       test_governor_evicts_sheddable_first;
     Util.qtest ~count:300 "governor: budget and priority invariants"
       gen_gov_events prop_governor_budget_and_priority;
+    Util.qtest ~count:300 "governor: remove_conn matches per-key removal"
+      gen_gov_ops prop_governor_remove_conn;
     Alcotest.test_case "interleave: weighted round-robin and classify"
       `Quick test_interleave_order_and_classify;
     Alcotest.test_case "interleave: clean path delivers expected bytes"

@@ -19,6 +19,17 @@ let ok_or_fail = function
 let deterministic_bytes n =
   Bytes.init n (fun i -> Char.chr ((i * 131 + (i lsr 8) * 7 + 5) land 0xFF))
 
+(* Minor-heap words allocated by [f ()], less what the measurement
+   itself allocates (the boxed floats [Gc.minor_words] returns). *)
+let minor_words_of f =
+  let measure g =
+    let w0 = Gc.minor_words () in
+    g ();
+    Gc.minor_words () -. w0
+  in
+  let overhead = measure (fun () -> ()) in
+  measure f -. overhead
+
 (* --- generators --- *)
 
 let gen_small_id = QCheck2.Gen.int_range 0 0xFFFF
