@@ -92,7 +92,7 @@ let rob_abort () =
         match !receiver with
         | Some rx ->
             if not (drops_ed b) then
-              Transport.Chunk_transport.Receiver.on_packet rx b
+              Transport.Chunk_transport.Receiver.ingest rx b
         | None -> ())
       ~data:(transfer_data 8192) ()
   in
@@ -175,7 +175,7 @@ let rob_recover () =
         CT.Sender.create engine config
           ~send:(fun b ->
             match !receiver with
-            | Some rx -> if not (drops_ed b) then CT.Receiver.on_packet rx b
+            | Some rx -> if not (drops_ed b) then CT.Receiver.ingest rx b
             | None -> ())
           ~data ()
       in
@@ -235,7 +235,7 @@ let rob_recover () =
             CT.Sender.create engine
               { config with CT.conn_id = i + 1 }
               ~announce_open:true
-              ~send:(fun b -> Transport.Multi.on_packet m b)
+              ~send:(fun b -> Transport.Multi.ingest m b)
               ~data:(transfer_data 16384) ())
       in
       List.iter CT.Sender.start senders;
@@ -320,7 +320,7 @@ let rob_shed () =
         ~loss
         ~forward:(fun b ->
           match !receiver with
-          | Some rx -> CT.Receiver.on_packet rx b
+          | Some rx -> CT.Receiver.ingest rx b
           | None -> ())
         ()
     in
@@ -430,7 +430,7 @@ let rob_isolate () =
       (match !byzantine with
       | Some bz -> Netsim.Byzantine.observe bz b
       | None -> ());
-      match !multi with Some m -> Transport.Multi.on_packet m b | None -> ()
+      match !multi with Some m -> Transport.Multi.ingest m b | None -> ()
     in
     let forward =
       Netsim.Link.create engine ~name:"fwd" ~rate_bps:100e6 ~delay:1e-3
@@ -472,7 +472,7 @@ let rob_isolate () =
              ~replay:true ~garbage:true
              ~inject:(fun b ->
                match !multi with
-               | Some m -> Transport.Multi.on_packet m b
+               | Some m -> Transport.Multi.ingest m b
                | None -> ())
              ~inject_ack:demux_reverse ());
     (* poll for the moment every honest transfer completes; the engine

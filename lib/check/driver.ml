@@ -650,6 +650,17 @@ let forge_clobber b =
                   | Ok p1, Ok p2 -> Some [ p1; p2 ]
                   | _ -> None))))
 
+(* Every schedule is delivered through [ingest]; a schedule without the
+   fast path gets capacity-0 flow caches, the cache-off reference the
+   [fastpath-coherence] row compares a fastpath run against. *)
+let reference_slots (s : Schedule.t) =
+  if s.Schedule.fastpath then None else Some 0
+
+let reference_fcache s =
+  Option.map
+    (fun slots -> Transport.Flowcache.create ~name:"tpdu" ~slots ())
+    (reference_slots s)
+
 let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   let config = Schedule.config_of s in
   let config =
@@ -669,13 +680,8 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
            (fun (c : Schedule.crash) ->
              (c.Schedule.cr_time, c.Schedule.cr_time +. c.Schedule.cr_restart))
            s.Schedule.crashes)
-      ~deliver:
-        (let deliver_rx =
-           if s.Schedule.fastpath then CT.Receiver.ingest
-           else CT.Receiver.on_packet
-         in
-         fun b ->
-           match !receiver with Some r -> deliver_rx r b | None -> ())
+      ~deliver:(fun b ->
+        match !receiver with Some r -> CT.Receiver.ingest r b | None -> ())
       ()
   in
   (* The overlap adversary taps the door (before its own injections, so
@@ -724,7 +730,8 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   in
   let rx =
     CT.Receiver.create engine config ?persist:persist_opt
-      ~send_ack:reverse_send ~capacity:(`Exact expected_elems) ()
+      ?fcache:(reference_fcache s) ~send_ack:reverse_send
+      ~capacity:(`Exact expected_elems) ()
   in
   receiver := Some rx;
   let ct = crash_track () in
@@ -789,7 +796,8 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
         | Persist.Single si ->
             let rx =
               CT.Receiver.restore engine config ?persist:persist_opt
-                ~send_ack:reverse_send ~capacity:(`Exact expected_elems)
+                ?fcache:(reference_fcache s) ~send_ack:reverse_send
+                ~capacity:(`Exact expected_elems)
                 si.Persist.s_rx ~acked_tids:si.Persist.s_acked
             in
             if Obs.enabled then
@@ -966,13 +974,8 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
            (fun (c : Schedule.crash) ->
              (c.Schedule.cr_time, c.Schedule.cr_time +. c.Schedule.cr_restart))
            s.Schedule.crashes)
-      ~deliver:
-        (let deliver_m =
-           if s.Schedule.fastpath then Transport.Multi.ingest
-           else Transport.Multi.on_packet
-         in
-         fun b ->
-           match !multi with Some m -> deliver_m m b | None -> ())
+      ~deliver:(fun b ->
+        match !multi with Some m -> Transport.Multi.ingest m b | None -> ())
       ()
   in
   (* The byzantine peer taps the door for its replay ring (before its
@@ -1024,7 +1027,8 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
   in
   let m =
     Transport.Multi.create engine ~config ~quota_elems ~max_conns
-      ?persist:persist_opt ?anomaly_budget ~send_ack:reverse_send ()
+      ?persist:persist_opt ?fastpath_slots:(reference_slots s)
+      ?anomaly_budget ~send_ack:reverse_send ()
   in
   multi := Some m;
   let ct = crash_track () in
@@ -1088,8 +1092,8 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
         | Persist.Multi conns ->
             let m' =
               Transport.Multi.restore engine ~config ~quota_elems ~max_conns
-                ?persist:persist_opt ?anomaly_budget ~send_ack:reverse_send
-                conns
+                ?persist:persist_opt ?fastpath_slots:(reference_slots s)
+                ?anomaly_budget ~send_ack:reverse_send conns
             in
             if Obs.enabled then
               Obs.Metrics.observe_s Persist.m_recovery

@@ -153,10 +153,10 @@ type t = {
   crashes : crash list;
   snap_period : float;  (** full-snapshot interval; 0 = ACK-journal only *)
   fastpath : bool;
-      (** deliver through the flow-cache fast path ([Multi.ingest] /
-          [Receiver.ingest]) instead of [on_packet]; the
-          [fastpath-coherence] oracle row re-runs the schedule with the
-          cache off and demands identical outcomes *)
+      (** deliver through [Multi.ingest] / [Receiver.ingest] with the
+          flow caches on (off = capacity-0 caches, the cache-off
+          reference); the [fastpath-coherence] oracle row re-runs the
+          schedule with the cache off and demands identical outcomes *)
   byz : byz option;
       (** a wire-conformant but protocol-violating peer; the
           [blast-radius] oracle row re-runs the schedule with this peer

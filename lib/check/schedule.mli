@@ -54,10 +54,11 @@ type profile =
   | Fastpath_hostile
       (** the flow-cache fast path under hostile fire: every packet is
           delivered through {!Transport.Multi.ingest} /
-          {!Transport.Chunk_transport.Receiver.ingest} while corruption,
-          loss, duplication and congestion drops attack the cached label
-          prefixes, with a mix of single- and multi-connection runs
-          (sometimes with C.ID reuse) churning the connection cache —
+          {!Transport.Chunk_transport.Receiver.ingest} with the caches
+          on while corruption, loss, duplication and congestion drops
+          attack the cached label prefixes, with a mix of single- and
+          multi-connection runs (sometimes with C.ID reuse) churning the
+          connection cache —
           and the [fastpath-coherence] oracle row replays the whole
           schedule with the cache off, demanding identical delivery and
           identical verdicts *)
@@ -183,10 +184,11 @@ type t = {
   snap_period : float;
       (** full-snapshot interval, seconds; 0 = ACK journalling only *)
   fastpath : bool;
-      (** deliver received packets through the flow-cache fast path
-          ([ingest]) instead of [on_packet]; any schedule may draw it,
-          and the [fastpath-coherence] oracle row re-runs the schedule
-          with the cache off and demands identical outcomes *)
+      (** run the receiver's flow caches; without it, packets still
+          go through [ingest], but over capacity-0 caches — the
+          cache-off reference.  Any schedule may draw it, and the
+          [fastpath-coherence] oracle row re-runs the schedule with the
+          cache off and demands identical outcomes *)
   byz : byz option;
       (** byzantine peer ({!Netsim.Byzantine}): valid wire format,
           violated protocol; forces the multi path, and the

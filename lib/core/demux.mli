@@ -8,7 +8,12 @@
     packet routes every chunk in one table lookup — the "single context
     retrieval per chunk" property.  Handlers are independent units, so a
     hardware implementation could run them in parallel; here they model
-    the software dispatch cost measured in CLM-DEMUX. *)
+    the software dispatch cost measured in CLM-DEMUX.
+
+    This module is the Appendix-A exhibit, not part of the receive
+    path: tests, fuzzing and [examples/piggyback] use it.  Endpoints
+    receive through [Transport.Multi.ingest], whose per-chunk dispatch
+    is the scanned TYPE code plus the connection table (DESIGN §7). *)
 
 type t
 (** A demultiplexer: a TYPE-indexed handler table plus routing
@@ -20,9 +25,7 @@ val create : ?default:(Chunk.t -> unit) -> unit -> t
 
 val register : t -> Ctype.t -> (Chunk.t -> unit) -> unit
 (** Install the processing unit for one TYPE (replaces any previous
-    one).
-
-    @raise Invalid_argument when registering for a terminator's code. *)
+    one). *)
 
 val on_chunk : t -> Chunk.t -> unit
 (** Route one chunk (terminators are swallowed). *)

@@ -139,31 +139,15 @@ let all_zero b off =
   let rec go i = i >= Bytes.length b || (Bytes.get b i = '\000' && go (i + 1)) in
   go off
 
-let decode_packet b =
-  let n = Bytes.length b in
-  let rec go off acc =
-    if off >= n then Ok (List.rev acc)
-    else if n - off < header_size then
-      if all_zero b off then Ok (List.rev acc)
-      else Error "Wire.decode_packet: trailing garbage"
-    else
-      match decode_chunk b off with
-      | Error _ as e -> e
-      | Ok (c, off') ->
-          if Chunk.is_terminator c then Ok (List.rev acc)
-          else go off' (c :: acc)
-  in
-  go 0 []
-
-(* Zero-allocation structural packet scanner.
+(* The one packet walker: a zero-allocation structural scanner.
 
    [Scan.packet] walks a packet image and records the start offset of
    every non-terminator chunk without building a single [Chunk.t] or
-   copying a payload byte.  The validity predicate is byte-for-byte the
-   one [decode_packet] applies — the scanner accepts a buffer iff
-   [decode_packet] returns [Ok], with the scratch holding exactly the
-   offsets of the chunks [decode_packet] would return, in order.  The
-   checks mirrored from the slow path, per chunk at [off]:
+   copying a payload byte; [decode_packet] below is that walk plus
+   [Scan.chunk] at each recorded offset.  Per chunk, the validity
+   predicate is byte-for-byte the one [decode_chunk] applies — a chunk
+   is accepted iff [decode_chunk] returns [Ok] at its offset.  The
+   checks mirrored from it, per chunk at [off]:
 
    - LEN within [Header.max_len]                    (Header.v)
    - data chunk with LEN > 0 has SIZE >= 1          (Header.v; SIZE is a
@@ -171,10 +155,11 @@ let decode_packet b =
    - each Ftuple SN non-negative after the exact
      [Int64.to_int] conversion, each ST byte <= 1   (get_tuple)
    - announced payload fits the buffer              (decode_chunk)
-   - LEN = 0 terminates the scan, rest of the
-     buffer ignored                                 (decode_packet)
-   - a residue shorter than one header must be
-     all-zero padding                               (decode_packet)
+
+   and the packet-level rules:
+
+   - LEN = 0 (a terminator) ends the scan, rest of the buffer ignored
+   - a residue shorter than one header must be all-zero padding
 
    The TYPE byte needs no check: every u8 is a valid [Ctype.code].  The
    field readers and [Scan.chunk] skip validation entirely and are only
@@ -319,3 +304,9 @@ module Scan = struct
     in
     Chunk.make_exn h (Bytes.sub b (off + header_size) (Header.payload_bytes h))
 end
+
+let decode_packet b =
+  let s = Scan.create () in
+  if Scan.packet s b then
+    Ok (List.init (Scan.count s) (fun i -> Scan.chunk b (Scan.offset s i)))
+  else Error "Wire.decode_packet: malformed chunk or trailing garbage"

@@ -57,24 +57,26 @@ val encode_packet : ?capacity:int -> Chunk.t list -> (bytes, string) result
 val decode_packet : bytes -> (Chunk.t list, string) result
 (** Parse all chunks of a packet, stopping at a terminator, at
     end-of-buffer, or at a residue smaller than one header (treated as
-    padding only if all-zero). *)
+    padding only if all-zero).  Built on the one packet walker:
+    {!Scan.packet} validates the image, then {!Scan.chunk} materialises
+    each recorded chunk — equal, chunk for chunk, to what
+    {!decode_chunk} returns at the same offsets. *)
 
 (** {1 Zero-allocation packet scanning}
 
-    The fast-path front end of the flow cache
-    ([Transport.Flowcache]-based dispatch in [Transport.Multi]): walk a
-    packet image once, validating its structure and recording chunk
-    start offsets, without building [Chunk.t] values or copying payload
-    bytes.  Label fields are then read straight out of the buffer at
-    those offsets.
+    The one packet walker, and the front end of the receive path
+    ([ingest] in [Transport.Multi] and [Transport.Chunk_transport]):
+    walk a packet image once, validating its structure and recording
+    chunk start offsets, without building [Chunk.t] values or copying
+    payload bytes.  Label fields are then read straight out of the
+    buffer at those offsets.
 
-    The scanner is {e exactly} as strict as {!decode_packet}:
-    [Scan.packet] accepts a buffer iff [decode_packet] returns [Ok] on
-    it, and on acceptance the recorded offsets are precisely where the
-    chunks of that [Ok] list start, in order (terminator and padding
-    excluded).  This equivalence is what lets the cached fast path keep
-    the slow path's all-or-nothing packet-drop semantics; it is pinned
-    down by a fuzz property in the test suite. *)
+    The scanner is {e exactly} as strict as {!decode_chunk} applied
+    chunk by chunk up to a terminator, with a sub-header residue
+    accepted only as all-zero padding; on acceptance the recorded
+    offsets are precisely where those chunks start, in order.  A fuzz
+    property pins this down against an independent chunk-by-chunk
+    reference decoder. *)
 
 module Scan : sig
   type t
@@ -88,10 +90,9 @@ module Scan : sig
   val packet : t -> bytes -> bool
   (** [packet s b] validates the whole packet image [b], recording the
       start offset of each non-terminator chunk in [s].  Returns [false]
-      — and the packet must be dropped whole, exactly like a
-      {!decode_packet} error — on any malformed chunk or non-zero
-      trailing residue.  Resets [s] first, so a scratch can be reused
-      freely. *)
+      — and the packet must be dropped whole — on any malformed chunk
+      or non-zero trailing residue.  Resets [s] first, so a scratch can
+      be reused freely. *)
 
   val count : t -> int
   (** Number of chunk offsets recorded by the last {!packet} call. *)
@@ -154,8 +155,8 @@ module Scan : sig
   val chunk : bytes -> int -> Chunk.t
   (** Materialise the chunk at a scanned offset — the slow-path
       fallback's bridge back to {!Chunk.t} processing.  Equal (by
-      {!Chunk.equal}) to what {!decode_chunk} returns there.  Allocates;
-      only called off the fast path. *)
+      {!Chunk.equal}) to what {!decode_chunk} returns there.  Allocates
+      (a header, the chunk and a payload copy). *)
 end
 
 (** {1 Checksummed record framing}

@@ -121,7 +121,6 @@ let m_sheds_sent = Obs.Metrics.counter "transport_sheds_sent_total"
 let m_sheds_received = Obs.Metrics.counter "transport_sheds_received_total"
 let m_shed_bytes = Obs.Metrics.counter "transport_shed_bytes_total"
 let m_tpdu_latency = Obs.Metrics.histogram "transport_tpdu_latency_us"
-let m_batch = Obs.Metrics.histogram "transport_ingest_batch_packets"
 let m_rtt = Obs.Metrics.histogram "transport_rtt_us"
 let m_backoff = Obs.Metrics.histogram "transport_rto_backoff_us"
 let g_rto = Obs.Metrics.gauge "transport_rto_us"
@@ -755,12 +754,6 @@ module Receiver = struct
       end
     end
 
-  let on_packet rx b =
-    Busmodel.nic_to_mem rx.bus (Bytes.length b);
-    match Wire.decode_packet b with
-    | Error _ -> ()
-    | Ok chunks -> List.iter (on_chunk rx) chunks
-
   (* Fast-path dispatch of one scanned chunk (DESIGN §7).  Eligible
      traffic — a data chunk without the C.ST bit, or an ED chunk — whose
      (C.ID, T.ID) row is cached with a matching connection delta goes
@@ -801,10 +794,6 @@ module Receiver = struct
       for i = 0 to Wire.Scan.count rx.scan - 1 do
         ingest_scanned rx b (Wire.Scan.offset rx.scan i)
       done
-
-  let ingest_batch rx packets =
-    if Obs.enabled then Obs.Metrics.observe m_batch (Array.length packets);
-    Array.iter (ingest rx) packets
 
   let fastpath_stats rx = Flowcache.stats rx.fcache
 
@@ -1680,7 +1669,7 @@ let run ?(seed = 0x5EED) ?(config = default_config) ?(loss = 0.0)
   let receiver = ref None in
   let sender = ref None in
   let to_receiver b =
-    match !receiver with Some r -> Receiver.on_packet r b | None -> ()
+    match !receiver with Some r -> Receiver.ingest r b | None -> ()
   in
   (* Build the in-network gateway chain back to front: each gateway
      re-envelopes chunks for its outgoing MTU and forwards over its own

@@ -132,30 +132,22 @@ module Receiver : sig
       connection (a fresh one, in practice): crash restore invalidates
       by construction. *)
 
-  val on_packet : t -> bytes -> unit
-  (** Feed one packet from the network (slow path: full
-      {!Labelling.Wire.decode_packet} then per-chunk processing). *)
-
   val on_chunk : t -> Labelling.Chunk.t -> unit
   (** Feed one already-decoded chunk (demultiplexer path; no bus
       accounting). *)
 
   val ingest : t -> bytes -> unit
-  (** Feed one packet through the flow-cache fast path: a single
-      zero-allocation structural scan ({!Labelling.Wire.Scan}) replaces
-      full decoding, and chunks whose [(C.ID, T.ID)] row is cached
+  (** Feed one packet from the network — the receiver's only packet
+      entry point.  A single zero-allocation structural scan
+      ({!Labelling.Wire.Scan}) validates the packet (a malformed one is
+      dropped whole), and chunks whose [(C.ID, T.ID)] row is cached
       dispatch straight to the verifier, skipping the per-chunk
       consistency re-checks already witnessed for that TPDU's epoch.
-      Every other chunk falls back to the slow path, which repopulates
-      the cache.  Behaviourally identical to {!on_packet} on every input
-      — malformed packets are dropped whole, byte-identical delivery —
-      as asserted by the [fastpath-coherence] oracle row and the qcheck
-      equivalence property. *)
-
-  val ingest_batch : t -> bytes array -> unit
-  (** {!ingest} over a batch of packets, amortising dispatch cost;
-      records batch occupancy in the [transport_ingest_batch_packets]
-      histogram. *)
+      Every other chunk is materialised and takes {!on_chunk}, which
+      repopulates the cache.  Given a capacity-0 [?fcache] (see
+      {!Flowcache.create}) every chunk takes {!on_chunk}: that is the
+      cache-off reference of the [fastpath-coherence] oracle row, which
+      holds delivery byte-identical with and without the cache. *)
 
   val ingest_scanned : t -> bytes -> int -> unit
   (** [ingest_scanned rx b off] processes the single chunk starting at

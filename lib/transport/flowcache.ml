@@ -15,6 +15,7 @@
    at the value. *)
 
 type 'a t = {
+  slots : int;  (* 0 = capacity-0 reference mode: stores nothing *)
   mask : int;
   k1s : int array;
   k2s : int array;
@@ -45,13 +46,17 @@ type stats = {
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
 
+(* A capacity-0 cache keeps one sentinel slot that [insert] never
+   writes, so [find] and [invalidate] need no branch of their own: no
+   key ever matches.  Only the miss counter and [insert] test [slots]. *)
 let create ~name ~slots () =
-  if slots < 1 then invalid_arg "Flowcache.create: slots must be >= 1";
+  if slots < 0 then invalid_arg "Flowcache.create: slots must be >= 0";
   let n = pow2_at_least slots 1 in
   let metric suffix =
     Obs.Metrics.counter (Printf.sprintf "flowcache_%s_%s_total" name suffix)
   in
   {
+    slots = (if slots = 0 then 0 else n);
     mask = n - 1;
     k1s = Array.make n (-1);
     k2s = Array.make n (-1);
@@ -69,7 +74,7 @@ let create ~name ~slots () =
     c_evictions = metric "evictions";
   }
 
-let slots c = c.mask + 1
+let slots c = c.slots
 
 (* Fibonacci-style multiplicative mix of the two keys; the keys are
    wire-supplied 32-bit IDs, so an attacker controls them — the mix only
@@ -92,21 +97,23 @@ let find c ~k1 ~k2 =
     Array.unsafe_get c.vals i
   end
   else begin
-    c.misses <- c.misses + 1;
+    if c.slots > 0 then c.misses <- c.misses + 1;
     None
   end
 
 let insert c ~k1 ~k2 v =
   if k1 < 0 || k2 < 0 then
     invalid_arg "Flowcache.insert: keys are non-negative wire IDs";
-  let i = index c ~k1 ~k2 in
-  let old1 = Array.unsafe_get c.k1s i in
-  if old1 >= 0 && not (old1 = k1 && Array.unsafe_get c.k2s i = k2) then
-    c.evictions <- c.evictions + 1;
-  Array.unsafe_set c.k1s i k1;
-  Array.unsafe_set c.k2s i k2;
-  c.vals.(i) <- Some v;
-  c.insertions <- c.insertions + 1
+  if c.slots > 0 then begin
+    let i = index c ~k1 ~k2 in
+    let old1 = Array.unsafe_get c.k1s i in
+    if old1 >= 0 && not (old1 = k1 && Array.unsafe_get c.k2s i = k2) then
+      c.evictions <- c.evictions + 1;
+    Array.unsafe_set c.k1s i k1;
+    Array.unsafe_set c.k2s i k2;
+    c.vals.(i) <- Some v;
+    c.insertions <- c.insertions + 1
+  end
 
 let invalidate c ~k1 ~k2 =
   let i = index c ~k1 ~k2 in

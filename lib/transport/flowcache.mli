@@ -42,10 +42,16 @@ val create : name:string -> slots:int -> unit -> 'a t
     {!Obs.Metrics} counters; instances sharing a [name] share those
     global counters (their own {!stats} stay separate).
 
-    @raise Invalid_argument if [slots < 1]. *)
+    [slots = 0] makes the reference mode: a cache that never stores,
+    never hits and whose {!stats} stay {!zero_stats}.  A fast path
+    over it takes the slow path for every chunk, which is how the
+    cache-off side of the [fastpath-coherence] comparison runs.
+
+    @raise Invalid_argument if [slots < 0]. *)
 
 val slots : 'a t -> int
-(** Actual slot count (the requested size rounded up). *)
+(** Actual slot count (the requested size rounded up; [0] for a
+    capacity-0 cache). *)
 
 val find : 'a t -> k1:int -> k2:int -> 'a option
 (** Probe for the entry keyed [(k1, k2)].  Counts a hit or a miss.

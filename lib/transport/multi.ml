@@ -581,117 +581,103 @@ let route m chunk =
       if Obs.enabled then Obs.Metrics.incr m_unknown
   | Some c when quarantine_active m c -> quarantine_drop m
   | Some c -> (
-      try
-        match c.live with
-        | Some rx ->
-            (* Data or ED traffic with a TPDU label this epoch has never
-               seen, arriving after the epoch's stream end was verified
-               (C.ST), is the start of the next epoch whose Open was lost
-               or damaged in flight — the Open piggybacks on every
-               envelope, but a corrupted copy must not let the new
-               epoch's chunks leak into the finished epoch's buffer.
-               Implicit close-and-reopen, exactly as for a late Open.
-               Deliberately {e not} scored as churn: it is data-driven,
-               so anyone who can forge a data label could otherwise talk
-               this connection into the penalty box. *)
-            let h = chunk.Chunk.header in
-            let t_id = h.Header.t.Ftuple.id in
-            let rx =
-              if
-                R.complete rx
-                && (Chunk.is_data chunk
-                   || Ctype.equal h.Header.ctype Ctype.ed)
-                && (not (Hashtbl.mem c.acked t_id))
-                && not (R.tracks_tpdu rx ~t_id)
-              then begin
-                archive m c;
-                new_epoch m c;
-                match c.live with Some fresh -> fresh | None -> rx
-              end
-              else rx
-            in
-            touch_conn m c;
-            R.on_chunk rx chunk
-        | None ->
-            (* closed epoch: stale retransmissions of acknowledged TPDUs
-               get their ACK again (the ledger outlives the epoch); other
-               traffic for a closed connection is refused.  An unledgered
-               T.ID here is scored: every T.ID an honest sender ever used
-               is in the ledger (or was declared given-up while the epoch
-               was live), so persistent late garbage is authored traffic,
-               not a replay. *)
-            let t_id = chunk.Chunk.header.Header.t.Ftuple.id in
-            if Hashtbl.mem c.acked t_id then re_ack_closed m c t_id
-            else begin
-              m.late_drops <- m.late_drops + 1;
-              if Obs.enabled then Obs.Metrics.incr m_late;
-              note_scored m c ~weight:w_late
+      match c.live with
+      | Some rx ->
+          (* Data or ED traffic with a TPDU label this epoch has never
+             seen, arriving after the epoch's stream end was verified
+             (C.ST), is the start of the next epoch whose Open was lost
+             or damaged in flight — the Open piggybacks on every
+             envelope, but a corrupted copy must not let the new
+             epoch's chunks leak into the finished epoch's buffer.
+             Implicit close-and-reopen, exactly as for a late Open.
+             Deliberately {e not} scored as churn: it is data-driven,
+             so anyone who can forge a data label could otherwise talk
+             this connection into the penalty box. *)
+          let h = chunk.Chunk.header in
+          let t_id = h.Header.t.Ftuple.id in
+          let rx =
+            if
+              R.complete rx
+              && (Chunk.is_data chunk || Ctype.equal h.Header.ctype Ctype.ed)
+              && (not (Hashtbl.mem c.acked t_id))
+              && not (R.tracks_tpdu rx ~t_id)
+            then begin
+              archive m c;
+              new_epoch m c;
+              match c.live with Some fresh -> fresh | None -> rx
             end
-      with e -> bulkhead m ~conn_id:cid e)
+            else rx
+          in
+          touch_conn m c;
+          R.on_chunk rx chunk
+      | None ->
+          (* closed epoch: stale retransmissions of acknowledged TPDUs
+             get their ACK again (the ledger outlives the epoch); other
+             traffic for a closed connection is refused.  An unledgered
+             T.ID here is scored: every T.ID an honest sender ever used
+             is in the ledger (or was declared given-up while the epoch
+             was live), so persistent late garbage is authored traffic,
+             not a replay. *)
+          let t_id = chunk.Chunk.header.Header.t.Ftuple.id in
+          if Hashtbl.mem c.acked t_id then re_ack_closed m c t_id
+          else begin
+            m.late_drops <- m.late_drops + 1;
+            if Obs.enabled then Obs.Metrics.incr m_late;
+            note_scored m c ~weight:w_late
+          end)
 
 let on_chunk m chunk =
-  if Chunk.is_terminator chunk then ()
-  else
-    match Connection.on_chunk m.table chunk with
-    | `Signal (cid, sg) -> (
-        match Hashtbl.find_opt m.conns cid with
-        | Some c when quarantine_active m c ->
-            (* no signal is served while boxed — in particular no Close
-               (which would archive) and no shed (which would mutate the
-               shed cover); the penalty box is a full service stop *)
-            quarantine_drop m
-        | found -> (
-            try
-              match sg with
-              | Connection.Open { first_csn } -> handle_open m cid ~first_csn
-              | Connection.Close -> (
-                  match found with Some c -> close_conn m c | None -> ())
-              | Connection.Resync _ -> ()
-              | Connection.Abort_tpdu { t_id } -> (
-                  match found with
-                  | Some ({ live = Some rx; _ } as c) ->
-                      c.last_touch <- now m;
-                      R.abort_tpdu rx ~t_id
-                  | Some _ | None -> ())
-              | Connection.Shed_tpdu { t_id; first_elem; elems } -> (
-                  match found with
-                  | Some ({ live = Some rx; _ } as c) ->
-                      c.last_touch <- now m;
-                      let refused = R.sheds_refused rx in
-                      R.shed_tpdu rx ~t_id ~first_elem ~elems;
-                      (* a refused shed named a TPDU this connection's
-                         classifier protects: forged (or badly
-                         misclassified).  Unscored — the signal names
-                         its victim, not its author. *)
-                      if R.sheds_refused rx > refused then note_unscored m c
-                  | Some c when Hashtbl.mem c.acked t_id ->
-                      (* shed signal straggling behind the epoch close
-                         while its ACK was lost: re-acknowledge so the
-                         sender stops retrying the signal *)
-                      re_ack_closed m c t_id
-                  | Some _ | None -> ())
-            with e -> bulkhead m ~conn_id:cid e))
-    | `Ignored
-      when Ctype.equal chunk.Chunk.header.Header.ctype Ctype.signal ->
-        (* a structurally valid signal chunk whose payload failed its
-           WSC-2 parity (or shape) check: silently dropped, but counted
-           — corruption in flight and tampering look identical here *)
-        m.sig_damage <- m.sig_damage + 1;
-        (match Hashtbl.find_opt m.conns chunk.Chunk.header.Header.c.Ftuple.id with
-        | Some c -> note_unscored m c
-        | None -> ())
-    | `Data_for _ | `Unknown_connection _ | `Ignored ->
-        (* routing is by connection record, not table state: traffic for
-           a live epoch must keep flowing after the C.ST data chunk
-           marked the table Closed (the final TPDU's remaining chunks,
-           and retransmissions, arrive after it) *)
-        route m chunk
-
-let on_packet m b =
-  Busmodel.nic_to_mem m.bus (Bytes.length b);
-  match Wire.decode_packet b with
-  | Error _ -> ()
-  | Ok chunks -> List.iter (on_chunk m) chunks
+  match Connection.on_chunk m.table chunk with
+  | `Signal (cid, sg) -> (
+      match Hashtbl.find_opt m.conns cid with
+      | Some c when quarantine_active m c ->
+          (* no signal is served while boxed — in particular no Close
+             (which would archive) and no shed (which would mutate the
+             shed cover); the penalty box is a full service stop *)
+          quarantine_drop m
+      | found -> (
+          match sg with
+          | Connection.Open { first_csn } -> handle_open m cid ~first_csn
+          | Connection.Close -> (
+              match found with Some c -> close_conn m c | None -> ())
+          | Connection.Resync _ -> ()
+          | Connection.Abort_tpdu { t_id } -> (
+              match found with
+              | Some ({ live = Some rx; _ } as c) ->
+                  c.last_touch <- now m;
+                  R.abort_tpdu rx ~t_id
+              | Some _ | None -> ())
+          | Connection.Shed_tpdu { t_id; first_elem; elems } -> (
+              match found with
+              | Some ({ live = Some rx; _ } as c) ->
+                  c.last_touch <- now m;
+                  let refused = R.sheds_refused rx in
+                  R.shed_tpdu rx ~t_id ~first_elem ~elems;
+                  (* a refused shed named a TPDU this connection's
+                     classifier protects: forged (or badly
+                     misclassified).  Unscored — the signal names its
+                     victim, not its author. *)
+                  if R.sheds_refused rx > refused then note_unscored m c
+              | Some c when Hashtbl.mem c.acked t_id ->
+                  (* shed signal straggling behind the epoch close while
+                     its ACK was lost: re-acknowledge so the sender stops
+                     retrying the signal *)
+                  re_ack_closed m c t_id
+              | Some _ | None -> ())))
+  | `Ignored when Ctype.equal chunk.Chunk.header.Header.ctype Ctype.signal ->
+      (* a structurally valid signal chunk whose payload failed its
+         WSC-2 parity (or shape) check: silently dropped, but counted
+         — corruption in flight and tampering look identical here *)
+      m.sig_damage <- m.sig_damage + 1;
+      (match Hashtbl.find_opt m.conns chunk.Chunk.header.Header.c.Ftuple.id with
+      | Some c -> note_unscored m c
+      | None -> ())
+  | `Data_for _ | `Unknown_connection _ | `Ignored ->
+      (* routing is by connection record, not table state: traffic for
+         a live epoch must keep flowing after the C.ST data chunk
+         marked the table Closed (the final TPDU's remaining chunks,
+         and retransmissions, arrive after it) *)
+      route m chunk
 
 let m_ingest_batch = Obs.Metrics.histogram "transport_ingest_batch_packets"
 
@@ -711,45 +697,48 @@ let maybe_cache_conn m chunk =
         Flowcache.insert m.l2 ~k1:cid ~k2:0 { fc_conn = c; fc_rx = rx }
     | Some _ | None -> ()
 
-(* The flow-cache fast path (DESIGN §7).  One structural scan validates
-   the whole packet (identical accept/drop behaviour to
-   [Wire.decode_packet]); each scanned chunk then probes the
-   connection cache.  A hit proves the chunk needs none of the slow
-   path's dispatch work — [Connection.on_chunk] is side-effect-free for
-   non-C.ST data and ED chunks, the epoch-reopen check cannot fire while
-   the stream end is unconfirmed — so the chunk goes straight to the
-   live receiver (whose own per-TPDU cache may trim further).  Any
-   other chunk, and any chunk whose cached premises no longer hold,
-   falls back to [on_chunk], which repopulates the cache. *)
+(* The receive path (DESIGN §7).  One structural scan validates the
+   whole packet; each scanned chunk then probes the connection cache.
+   A hit proves the chunk needs none of the slow path's dispatch work —
+   [Connection.on_chunk] is side-effect-free for non-C.ST data and ED
+   chunks, the epoch-reopen check cannot fire while the stream end is
+   unconfirmed — so the chunk goes straight to the live receiver (whose
+   own per-TPDU cache may trim further).  Any other chunk, and any chunk
+   whose cached premises no longer hold, is materialised and takes
+   [on_chunk], which repopulates the cache.  Both ways into a live
+   epoch run inside one [try], the connection's exception bulkhead, so
+   a throw never escapes into the rest of the packet or batch. *)
 let ingest m b =
   Busmodel.nic_to_mem m.bus (Bytes.length b);
   if Wire.Scan.packet m.scan b then
     for i = 0 to Wire.Scan.count m.scan - 1 do
-      let off = Wire.Scan.offset m.scan i in
-      let code = Wire.Scan.ctype_code_at m.scan i in
-      let fast =
-        (code = 0 || code = 1)
-        && (not (Wire.Scan.c_st_at m.scan i))
-        &&
-        let cid = Wire.Scan.c_id_at m.scan i in
-        match Flowcache.find m.l2 ~k1:cid ~k2:0 with
-        | Some e -> (
-            match e.fc_conn.live with
-            | Some rx when rx == e.fc_rx && R.stream_end_elems rx = None ->
-                touch_conn m e.fc_conn;
-                R.ingest_scanned rx b off;
-                true
-            | Some _ | None ->
-                (* the epoch turned over (or closed) under the entry *)
-                Flowcache.invalidate m.l2 ~k1:cid ~k2:0;
-                false)
-        | None -> false
-      in
-      if not fast then begin
-        let chunk = Wire.Scan.chunk b off in
-        on_chunk m chunk;
-        maybe_cache_conn m chunk
-      end
+      let cid = Wire.Scan.c_id_at m.scan i in
+      try
+        let off = Wire.Scan.offset m.scan i in
+        let code = Wire.Scan.ctype_code_at m.scan i in
+        let fast =
+          (code = 0 || code = 1)
+          && (not (Wire.Scan.c_st_at m.scan i))
+          &&
+          match Flowcache.find m.l2 ~k1:cid ~k2:0 with
+          | Some e -> (
+              match e.fc_conn.live with
+              | Some rx when rx == e.fc_rx && R.stream_end_elems rx = None ->
+                  touch_conn m e.fc_conn;
+                  R.ingest_scanned rx b off;
+                  true
+              | Some _ | None ->
+                  (* the epoch turned over (or closed) under the entry *)
+                  Flowcache.invalidate m.l2 ~k1:cid ~k2:0;
+                  false)
+          | None -> false
+        in
+        if not fast then begin
+          let chunk = Wire.Scan.chunk b off in
+          on_chunk m chunk;
+          maybe_cache_conn m chunk
+        end
+      with e -> bulkhead m ~conn_id:cid e
     done
 
 let ingest_batch m packets =
@@ -903,10 +892,11 @@ let export m : Persist.conn_image list =
    the per-connection slot cost is re-asserted — the budget, not the
    image, decides what survives. *)
 let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
-    ?anomaly_budget ~send_ack (images : Persist.conn_image list) =
+    ?fastpath_slots ?anomaly_budget ~send_ack
+    (images : Persist.conn_image list) =
   let m =
     create engine ~config ~quota_elems ~max_conns ?bus ?persist
-      ?anomaly_budget ~send_ack ()
+      ?fastpath_slots ?anomaly_budget ~send_ack ()
   in
   List.iter
     (fun (img : Persist.conn_image) ->

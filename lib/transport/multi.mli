@@ -81,8 +81,9 @@ val create :
 
     [?fastpath_slots] sizes the two flow caches of the {!ingest} fast
     path (rounded up to a power of two; default derived from
-    [max_conns]).  Hostile or skewed workloads that overflow the caches
-    degrade to slow-path throughput, never to different behaviour.
+    [max_conns]; [0] turns both off — see {!Flowcache.create}).
+    Hostile or skewed workloads that overflow the caches degrade to
+    slow-path throughput, never to different behaviour.
 
     [?anomaly_budget] (default 32) is the scored-anomaly threshold at
     which a connection's admission is revoked; [0] disables quarantine
@@ -94,24 +95,21 @@ val create :
     time that forgives an accumulated score.
     @raise Invalid_argument if [anomaly_budget < 0]. *)
 
-val on_packet : t -> bytes -> unit
-(** Feed one wire packet: parse the envelope, route signals through the
-    connection table and data to the owning epoch's receiver
-    (unparseable packets are dropped, as on a real wire). *)
-
 val ingest : t -> bytes -> unit
-(** Feed one wire packet through the layered flow-cache fast path
-    (DESIGN §7): a single zero-allocation structural scan
-    ({!Labelling.Wire.Scan}) replaces full decoding, hot-connection
-    chunks dispatch via the connection cache straight to the live
-    epoch's receiver (bypassing the signalling table and demux lookups),
-    and TPDUs with a corroborated delta trim further via the per-TPDU
-    cache.  Signals, C.ST carriers, cache misses and any anomaly (stale
-    epoch, corrupt label prefix, confirmed stream end) fall back to the
-    {!on_packet} slow path chunk by chunk, repopulating the caches.
-    Behaviourally identical to {!on_packet} on every input — malformed
-    packets are dropped whole; delivery is byte-identical — as asserted
-    by the [fastpath-coherence] oracle row across every soak profile. *)
+(** Feed one wire packet — the endpoint's only way in (DESIGN §7).  A
+    zero-allocation structural scan ({!Labelling.Wire.Scan}) validates
+    the envelope (a malformed packet is dropped whole, as on a real
+    wire).  Hot-connection chunks dispatch via the connection cache
+    straight to the live epoch's receiver, and TPDUs with a
+    corroborated delta trim further via the per-TPDU cache.  Signals,
+    C.ST carriers, cache misses and any anomaly take the slow path:
+    signals through the connection table, data to the owning epoch's
+    receiver, repopulating the caches.  With [~fastpath_slots:0] every
+    chunk takes the slow path — the cache-off reference the
+    [fastpath-coherence] oracle row compares against; delivery is
+    byte-identical either way.  An exception thrown while processing a
+    chunk poisons that chunk's connection ({!poison}) and does not
+    escape. *)
 
 val ingest_batch : t -> bytes array -> unit
 (** {!ingest} over a batch of packets, amortising per-call dispatch
@@ -125,9 +123,8 @@ type fastpath_stats = {
 (** Counters of the two fast-path cache layers. *)
 
 val fastpath_stats : t -> fastpath_stats
-(** Flow-cache counters accumulated since creation.  Probes are counted
-    only on the {!ingest} path, so a pure {!on_packet} endpoint reports
-    all-zero stats. *)
+(** Flow-cache counters accumulated since creation.  An endpoint
+    created with [~fastpath_slots:0] reports all-zero stats. *)
 
 val epochs : t -> conn_id:int -> epoch_report list
 (** Delivered buffers of the connection's epochs, oldest first; the last
@@ -248,6 +245,7 @@ val restore :
   max_conns:int ->
   ?bus:Busmodel.t ->
   ?persist:(Persist.event -> unit) ->
+  ?fastpath_slots:int ->
   ?anomaly_budget:int ->
   send_ack:(bytes -> unit) ->
   Persist.conn_image list ->
@@ -257,8 +255,10 @@ val restore :
     re-processed, restored parities never re-accept bytes already
     counted into them, and every restored connection re-accounts its
     slot (and its live epoch's soft state) against a fresh governor —
-    the budget, not the image, decides what survives.  Does not send
-    anything; call {!reannounce} to re-enter service. *)
+    the budget, not the image, decides what survives.  The flow caches
+    are not part of the image: they start empty, sized by
+    [?fastpath_slots] as in {!create}.  Does not send anything; call
+    {!reannounce} to re-enter service. *)
 
 val reannounce : t -> unit
 (** Re-ACK every TPDU in every restored ledger (live or closed epoch),

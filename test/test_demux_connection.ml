@@ -177,7 +177,7 @@ let make_rig ?(quota_elems = 1024) ?anomaly_budget () =
 
 let to_multi rig b =
   Netsim.Engine.schedule rig.engine ~delay:1e-4 (fun () ->
-      Transport.Multi.on_packet rig.multi b)
+      Transport.Multi.ingest rig.multi b)
 
 let start_transfer rig ~conn ~epoch data =
   let tx =
@@ -344,7 +344,7 @@ let test_multi_quarantine_survives_restore () =
      Wire.encode_packet
        [ Connection.signal_chunk ~conn_id:6 (Connection.Open { first_csn = 300_000 }) ]
    with
-  | Ok b -> Transport.Multi.on_packet m1 b
+  | Ok b -> Transport.Multi.ingest m1 b
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "restored box refuses the Open" true
     (Transport.Multi.quarantine_drops m1 > drops0);

@@ -1,8 +1,10 @@
 (* The flow-cache fast path is pure acceleration: unit tests of the
-   cache structure itself, fuzz agreement of the structural scanner with
-   the slow decoder, and properties pinning [Multi.ingest] to
-   byte-identical delivery with [Multi.on_packet] under packet
-   permutation, epoch reuse and crash-restore. *)
+   cache structure itself (including the capacity-0 reference mode),
+   fuzz agreement of the structural scanner and [Wire.decode_packet]
+   with an independent reference decoder, and properties pinning
+   cache-on [Multi.ingest] to byte-identical delivery with cache-off
+   [Multi.ingest] under packet permutation, epoch reuse, crash-restore
+   and thrown exceptions. *)
 
 open Labelling
 module CT = Transport.Chunk_transport
@@ -67,6 +69,29 @@ let test_cache_clear () =
   let s = FC.stats c in
   Alcotest.(check int) "all five entries accounted" 5
     (s.FC.s_invalidations + s.FC.s_evictions)
+
+(* Capacity 0 is the reference mode: nothing is ever stored, so every
+   probe misses — and nothing is counted, so a cache-off endpoint
+   reports exactly [zero_stats]. *)
+let test_cache_zero_slots () =
+  let c = FC.create ~name:"test-zero" ~slots:0 () in
+  Alcotest.(check int) "no slots" 0 (FC.slots c);
+  Alcotest.(check bool) "empty probe misses" true (FC.find c ~k1:0 ~k2:0 = None);
+  FC.insert c ~k1:3 ~k2:9 "v";
+  Alcotest.(check bool) "insert stores nothing" true
+    (FC.find c ~k1:3 ~k2:9 = None);
+  FC.insert c ~k1:0 ~k2:0 "w";
+  Alcotest.(check bool) "not even in the sentinel slot" true
+    (FC.find c ~k1:0 ~k2:0 = None);
+  FC.invalidate c ~k1:3 ~k2:9;
+  FC.clear c;
+  Alcotest.(check bool) "still empty after invalidate and clear" true
+    (FC.find c ~k1:3 ~k2:9 = None);
+  Alcotest.(check bool) "stats stay zero_stats" true
+    (FC.stats c = FC.zero_stats);
+  Alcotest.check_raises "negative slots still rejected"
+    (Invalid_argument "Flowcache.create: slots must be >= 0")
+    (fun () -> ignore (FC.create ~name:"test-zero" ~slots:(-1) ()))
 
 (* --- stats algebra ------------------------------------------------ *)
 
@@ -155,17 +180,43 @@ let gen_image =
       return b
     end)
 
-(* [Scan.packet] accepts iff [decode_packet] returns [Ok], and then the
-   recorded offsets, cached label prefix and materialised chunks agree
-   exactly with the decoded chunk list. *)
+(* Reference implementation: a packet decoder written straight over
+   [Wire.decode_chunk], independent of [Wire.Scan].  [Wire.decode_packet]
+   is built on the scanner, so the scanner is checked against this, not
+   against itself. *)
+let ref_decode_packet b =
+  let n = Bytes.length b in
+  let all_zero off =
+    let rec go i = i >= n || (Bytes.get b i = '\000' && go (i + 1)) in
+    go off
+  in
+  let rec go off acc =
+    if off >= n then Ok (List.rev acc)
+    else if n - off < Wire.header_size then
+      if all_zero off then Ok (List.rev acc)
+      else Error "ref_decode_packet: trailing garbage"
+    else
+      match Wire.decode_chunk b off with
+      | Error _ as e -> e
+      | Ok (c, off') ->
+          if Chunk.is_terminator c then Ok (List.rev acc)
+          else go off' (c :: acc)
+  in
+  go 0 []
+
+(* [Scan.packet] and [Wire.decode_packet] accept iff the reference
+   decoder does, and then the recorded offsets, cached label prefix and
+   materialised chunks agree exactly with the reference chunk list. *)
 let scan_agrees b =
   let scan = Wire.Scan.create () in
   let accepted = Wire.Scan.packet scan b in
-  match Wire.decode_packet b with
-  | Error _ -> not accepted
+  match ref_decode_packet b with
+  | Error _ -> (not accepted) && Result.is_error (Wire.decode_packet b)
   | Ok chunks ->
-      let chunks = List.filter (fun c -> not (Chunk.is_terminator c)) chunks in
-      accepted
+      (match Wire.decode_packet b with
+      | Ok decoded -> List.equal Chunk.equal decoded chunks
+      | Error _ -> false)
+      && accepted
       && Wire.Scan.count scan = List.length chunks
       && List.for_all2
            (fun i c ->
@@ -183,11 +234,14 @@ let scan_agrees b =
            chunks
 
 let prop_scan_garbage =
-  QCheck2.Test.make ~name:"scan agrees with decode_packet on garbage"
+  QCheck2.Test.make
+    ~name:"scan agrees with decode_packet and the reference on garbage"
     ~count:2000 gen_garbage scan_agrees
 
 let prop_scan_images =
-  QCheck2.Test.make ~name:"scan agrees with decode_packet on (damaged) packets"
+  QCheck2.Test.make
+    ~name:"scan agrees with decode_packet and the reference on (damaged) \
+           packets"
     ~count:1000 gen_image scan_agrees
 
 (* --- Multi: cache-on vs cache-off --------------------------------- *)
@@ -195,12 +249,17 @@ let prop_scan_images =
 let multi_config =
   { CT.default_config with CT.elem_size = 4; tpdu_elems = 16 }
 
-let mk_multi ?anomaly_budget () =
+let mk_multi ?anomaly_budget ?persist ?fastpath_slots () =
   let engine = Netsim.Engine.create ~seed:42 () in
   Transport.Multi.create engine ~config:multi_config ~quota_elems:4096
-    ~max_conns:8 ?anomaly_budget
+    ~max_conns:8 ?anomaly_budget ?persist ?fastpath_slots
     ~send_ack:(fun _ -> ())
     ()
+
+(* The cache-off reference: the same receive path over capacity-0 flow
+   caches, so every chunk takes the slow path. *)
+let mk_reference ?anomaly_budget ?persist () =
+  mk_multi ?anomaly_budget ?persist ~fastpath_slots:0 ()
 
 (* One connection's wire life: Open, each sealed TPDU as its own
    packet, Close. *)
@@ -249,7 +308,8 @@ let epochs_equal a b =
 (* A multi-connection packet mix under an arbitrary permutation (which
    reorders signals against data and interleaves connections) plus
    duplicated packets: the fast path must stay byte-identical with the
-   slow path — including on traffic that arrives before its Open. *)
+   cache-off reference — including on traffic that arrives before its
+   Open. *)
 let gen_permuted_mix =
   QCheck2.Gen.(
     let* n_conns = int_range 1 3 in
@@ -283,11 +343,11 @@ let gen_permuted_mix =
 
 let prop_permuted_mix =
   QCheck2.Test.make
-    ~name:"ingest_batch delivers byte-identically to on_packet" ~count:60
-    gen_permuted_mix
+    ~name:"ingest_batch delivers byte-identically to cache-off ingest"
+    ~count:60 gen_permuted_mix
     (fun (mix, batch) ->
-      let m_slow = mk_multi () and m_fast = mk_multi () in
-      Array.iter (Transport.Multi.on_packet m_slow) mix;
+      let m_slow = mk_reference () and m_fast = mk_multi () in
+      Array.iter (Transport.Multi.ingest m_slow) mix;
       let i = ref 0 in
       let n = Array.length mix in
       while !i < n do
@@ -445,11 +505,11 @@ let test_batch_empty () =
 
 let test_batch_single_packet () =
   (* a degenerate batch of one packet per call is just [ingest] *)
-  let m_slow = mk_multi () and m_fast = mk_multi () in
+  let m_slow = mk_reference () and m_fast = mk_multi () in
   let _, packets = conn_packets ~conn:2 ~seed:3 900 in
-  List.iter (Transport.Multi.on_packet m_slow) packets;
+  List.iter (Transport.Multi.ingest m_slow) packets;
   List.iter (fun p -> Transport.Multi.ingest_batch m_fast [| p |]) packets;
-  Alcotest.(check bool) "singleton batches identical to on_packet" true
+  Alcotest.(check bool) "singleton batches identical to cache-off" true
     (epochs_equal m_slow m_fast)
 
 let test_batch_spanning_quarantine () =
@@ -458,18 +518,18 @@ let test_batch_spanning_quarantine () =
      innocent conn 6.  The quarantine lands mid-batch; the fast path
      must refuse the boxed connection's remaining packets (no stale
      cache entry may serve it) while conn 6 sails through — and the
-     batch must stay byte-identical with the slow path under the same
-     budget. *)
+     batch must stay byte-identical with the cache-off reference under
+     the same budget. *)
   let budget = 4 in
-  let m_slow = mk_multi ~anomaly_budget:budget ()
+  let m_slow = mk_reference ~anomaly_budget:budget ()
   and m_fast = mk_multi ~anomaly_budget:budget () in
   let d0, epoch0 = conn_packets ~conn:5 ~seed:1 600 in
   let _, epoch1 = conn_packets ~conn:5 ~seed:77 ~first_tid:100_000 600 in
   let d6, honest = conn_packets ~conn:6 ~seed:8 480 in
   let batch = Array.of_list (epoch0 @ epoch1 @ honest) in
-  Array.iter (Transport.Multi.on_packet m_slow) batch;
+  Array.iter (Transport.Multi.ingest m_slow) batch;
   Transport.Multi.ingest_batch m_fast batch;
-  Alcotest.(check bool) "fast path identical to slow path" true
+  Alcotest.(check bool) "fast path identical to cache-off" true
     (epochs_equal m_slow m_fast);
   Alcotest.(check int) "reopen churn tripped the box" 1
     (Transport.Multi.quarantines m_fast);
@@ -497,12 +557,11 @@ let test_batch_spanning_quarantine () =
 (* --- invalidation on epoch reuse ---------------------------------- *)
 
 let test_epoch_reuse_invalidates () =
-  let m_slow = mk_multi () and m_fast = mk_multi () in
+  let m_slow = mk_reference () and m_fast = mk_multi () in
   let d0, epoch0 = conn_packets ~conn:5 ~seed:1 600 in
   let d1, epoch1 = conn_packets ~conn:5 ~seed:77 ~first_tid:100_000 600 in
-  let feed m deliver = List.iter deliver (epoch0 @ epoch1) |> ignore; m in
-  let m_slow = feed m_slow (Transport.Multi.on_packet m_slow) in
-  let m_fast = feed m_fast (Transport.Multi.ingest m_fast) in
+  List.iter (Transport.Multi.ingest m_slow) (epoch0 @ epoch1);
+  List.iter (Transport.Multi.ingest m_fast) (epoch0 @ epoch1);
   Alcotest.(check bool) "cache-on identical to cache-off" true
     (epochs_equal m_slow m_fast);
   (match Transport.Multi.epochs m_fast ~conn_id:5 with
@@ -519,6 +578,33 @@ let test_epoch_reuse_invalidates () =
   let fp = Transport.Multi.fastpath_stats m_fast in
   Alcotest.(check bool) "conn-cache invalidated on epoch turnover" true
     (fp.Transport.Multi.fp_conn.FC.s_invalidations >= 1)
+
+(* --- the exception bulkhead covers the fast path ------------------ *)
+
+(* A journal that fails on every ACK record (a full disk, say) makes
+   each epoch receiver throw from inside its fresh-ACK path.  Whether a
+   chunk reaches the receiver through the connection cache or through
+   the slow route, the throw must poison only that connection and never
+   escape: the rest of the batch is still processed. *)
+let test_bulkhead_covers_cache_hits () =
+  let persist = function
+    | Transport.Persist.Acked _ -> raise (Sys_error "journal: disk full")
+    | _ -> ()
+  in
+  let packets =
+    Array.of_list
+      (snd (conn_packets ~conn:1 ~seed:4 320)
+      @ snd (conn_packets ~conn:2 ~seed:5 320))
+  in
+  let m_off = mk_reference ~persist () and m_on = mk_multi ~persist () in
+  Array.iter (Transport.Multi.ingest m_off) packets;
+  Transport.Multi.ingest_batch m_on packets;
+  Alcotest.(check int) "both connections poisoned with the cache off" 2
+    (Transport.Multi.conns_poisoned m_off);
+  Alcotest.(check int) "and with the cache on" 2
+    (Transport.Multi.conns_poisoned m_on);
+  Alcotest.(check bool) "same epochs with and without the cache" true
+    (epochs_equal m_off m_on)
 
 (* --- crash restore starts cold ------------------------------------ *)
 
@@ -580,6 +666,8 @@ let suite =
     Alcotest.test_case "cache rejects negative keys" `Quick
       test_cache_negative_key_rejected;
     Alcotest.test_case "cache clear" `Quick test_cache_clear;
+    Alcotest.test_case "capacity-0 cache stores nothing" `Quick
+      test_cache_zero_slots;
     QCheck_alcotest.to_alcotest prop_stats_algebra;
     Alcotest.test_case "add_stats saturates" `Quick test_stats_saturate;
     QCheck_alcotest.to_alcotest prop_scan_garbage;
@@ -595,4 +683,6 @@ let suite =
       test_epoch_reuse_invalidates;
     Alcotest.test_case "crash restore starts with a cold cache" `Quick
       test_crash_restore_fresh_cache;
+    Alcotest.test_case "bulkhead contains throws on cache hits" `Quick
+      test_bulkhead_covers_cache_hits;
   ]

@@ -39,7 +39,7 @@ let record_door_packets ~seed ~data_len ~drop_k =
               let b = Bytes.copy b in
               Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
                   recorded := b :: !recorded;
-                  CT.Receiver.on_packet rx b)
+                  CT.Receiver.ingest rx b)
           | None -> ())
       ~data ()
   in
@@ -79,7 +79,7 @@ let restore_equivalent ~seed ~data_len ~drop_k ~cut_pct =
       ~send_ack:(fun p -> acks_a := Bytes.copy p :: !acks_a)
       ~capacity:(`Exact expected) ()
   in
-  List.iter (CT.Receiver.on_packet a) prefix;
+  List.iter (CT.Receiver.ingest a) prefix;
   let img =
     Persist.Single
       { Persist.s_acked = CT.Receiver.acked_tids a; s_rx = CT.Receiver.export a }
@@ -96,8 +96,8 @@ let restore_equivalent ~seed ~data_len ~drop_k ~cut_pct =
       (* only the post-cut ACK streams are comparable: the prefix ACKs
          left before the snapshot was taken *)
       acks_a := [];
-      List.iter (CT.Receiver.on_packet a) tail;
-      List.iter (CT.Receiver.on_packet b) tail;
+      List.iter (CT.Receiver.ingest a) tail;
+      List.iter (CT.Receiver.ingest b) tail;
       CT.Receiver.contents a = CT.Receiver.contents b
       && CT.Receiver.delivered_elems a = CT.Receiver.delivered_elems b
       && CT.Receiver.complete a = CT.Receiver.complete b
@@ -130,7 +130,7 @@ let prop_codec_fixpoint (seed, data_len, cut_pct) =
       ~send_ack:(fun _ -> ())
       ~capacity:(`Exact expected) ()
   in
-  List.iter (CT.Receiver.on_packet rx) prefix;
+  List.iter (CT.Receiver.ingest rx) prefix;
   let img =
     Persist.Single
       { Persist.s_acked = CT.Receiver.acked_tids rx; s_rx = CT.Receiver.export rx }
@@ -245,7 +245,7 @@ let test_sender_restore () =
         | Some rx ->
             let b = Bytes.copy b in
             Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
-                CT.Receiver.on_packet rx b)
+                CT.Receiver.ingest rx b)
         | None -> ())
       ~data ()
   in

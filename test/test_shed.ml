@@ -87,7 +87,7 @@ let feed_stream rx config data =
   let chunks = Util.ok_or_fail (Framer.push_frame ~last:true framer data) in
   let sealed = Util.ok_or_fail (Edc.Encoder.seal_tpdus chunks) in
   let packets = Util.ok_or_fail (Packet.pack ~mtu:config.CT.mtu sealed) in
-  List.iter (fun p -> CT.Receiver.on_packet rx (Packet.encode p)) packets
+  List.iter (fun p -> CT.Receiver.ingest rx (Packet.encode p)) packets
 
 let test_forged_shed_ignored () =
   (* default classify: everything Normal — no shed may ever be
@@ -377,7 +377,7 @@ let test_interleave_clean_delivery () =
       ~mtu:config.CT.mtu
       ~deliver:(fun b ->
         match !receiver with
-        | Some r -> CT.Receiver.on_packet r b
+        | Some r -> CT.Receiver.ingest r b
         | None -> ())
       ()
   in
