@@ -113,7 +113,7 @@ let rob_abort () =
      in-flight %d, stashed %d\n"
     (Netsim.Engine.now engine)
     (CT.Sender.aborts_sent tx)
-    (CT.Receiver.aborts_received rx)
+    (CT.Receiver.stats rx).CT.Rx_stats.aborts_received
     (CT.Receiver.verifier_in_flight rx)
     (CT.Receiver.stashed_tpdus rx);
   Util_bench.Metrics.record ~exp:"ROB-ABORT" "give-up sim s"
@@ -509,12 +509,11 @@ let rob_isolate () =
         0
         (List.init honest (fun i -> i + 1))
     in
-    (goodput, t, Transport.Multi.quarantines m, honest_boxed, m)
+    (goodput, t, honest_boxed, Transport.Multi.stats m)
   in
-  let clean_bps, clean_t, _, _, _ = run_endpoint ~attack:false in
-  let byz_bps, byz_t, quarantines, honest_boxed, m =
-    run_endpoint ~attack:true
-  in
+  let clean_bps, clean_t, _, _ = run_endpoint ~attack:false in
+  let byz_bps, byz_t, honest_boxed, st = run_endpoint ~attack:true in
+  let quarantines = st.Transport.Chunk_transport.Rx_stats.quarantines in
   let ratio = byz_bps /. clean_bps in
   Printf.printf
     "  honest goodput clean %.3f Mb/s (%.3f sim s); under 25%% byzantine \
@@ -523,9 +522,7 @@ let rob_isolate () =
   Printf.printf
     "  quarantines %d, honest connections boxed %d, quarantine drops %d, \
      anomalies %d\n"
-    quarantines honest_boxed
-    (Transport.Multi.quarantine_drops m)
-    (Transport.Multi.anomalies m);
+    quarantines honest_boxed st.quarantine_drops st.anomalies;
   (* the acceptance claim: containment keeps honest goodput >= 0.9x and
      never boxes an honest connection *)
   assert (ratio >= 0.9);
@@ -541,7 +538,7 @@ let rob_isolate () =
   Util_bench.Metrics.record ~exp:"ROB-ISOLATE" "honest boxed"
     (float_of_int honest_boxed);
   Util_bench.Metrics.record ~exp:"ROB-ISOLATE" "quarantine drops"
-    (float_of_int (Transport.Multi.quarantine_drops m))
+    (float_of_int st.quarantine_drops)
 
 let run () =
   rob_rto ();

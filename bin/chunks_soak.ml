@@ -92,6 +92,7 @@ let run_replay spec mutate =
       let trace = Check.Trace.create () in
       let model = Check.Model.of_schedule schedule in
       let observation = Check.Driver.run ~mutation:mutate ~trace schedule in
+      let rx = observation.Check.Driver.rx_stats in
       Format.printf "%a" Check.Trace.pp trace;
       Printf.printf
         "ok=%b complete=%b gave_up=%b retrans=%d sack=%d nacks=%d\n\
@@ -109,22 +110,21 @@ let run_replay spec mutate =
          sheds_refused=%d byz=%s\n"
         observation.Check.Driver.ok observation.complete observation.gave_up
         observation.retransmissions observation.sack_retransmissions
-        observation.nacks_sent
+        rx.nacks_sent
         observation.verifier.Edc.Verifier.tpdus_passed
         observation.verifier.Edc.Verifier.tpdus_failed
         observation.verifier.Edc.Verifier.duplicates
         observation.verifier_in_flight observation.stashed_tpdus
-        observation.engine_pending observation.receiver_evictions
-        observation.conn_gcs observation.aborts_sent
-        observation.aborts_received observation.reacks_sent
+        observation.engine_pending rx.evictions rx.conn_gcs
+        observation.aborts_sent rx.aborts_received rx.reacks_sent
         observation.state_high_water observation.flood_injected
         observation.rtt_samples observation.final_rto
         observation.crashes_injected observation.restores
         observation.recovery_bad observation.restore_over_budget
         observation.roundtrip_failures observation.snapshots_taken
         observation.journal_records observation.overlap_injected
-        observation.overlap_conflicts_seen observation.overlap_conflicts_rejected
-        observation.overlap_quarantined observation.verified_overwrites
+        rx.overlap.os_conflicts_seen rx.overlap.os_conflicts_rejected
+        rx.overlap.os_quarantined rx.overlap.os_verified_overwrites
         (match observation.permuted with
         | None -> "n/a"
         | Some p ->
@@ -146,16 +146,14 @@ let run_replay spec mutate =
         observation.fastpath_stats.Transport.Flowcache.s_insertions
         observation.fastpath_stats.Transport.Flowcache.s_invalidations
         observation.fastpath_stats.Transport.Flowcache.s_evictions
-        observation.sheds_sent observation.sheds_received
-        observation.shed_elems
+        observation.sheds_sent rx.sheds_received rx.shed_elems
         (match observation.shed_spans with
         | [] -> "-"
         | spans ->
             String.concat ","
               (List.map (fun (f, n) -> Printf.sprintf "%d+%d" f n) spans))
-        observation.anomalies observation.quarantines
-        observation.quarantine_drops observation.conns_poisoned
-        observation.sheds_refused
+        rx.anomalies rx.quarantines rx.quarantine_drops rx.conns_poisoned
+        rx.sheds_refused
         (match observation.byz with
         | None -> "n/a"
         | Some b ->
@@ -222,6 +220,7 @@ let run_soak list_profiles profile schedules seconds seed json metrics mutate
                           (Check.Schedule.profile_name p) i)
                     ~seed p
                 in
+                let rx = report.Check.Soak.rx in
                 Printf.printf
                   "%-8s %5d schedules  %d violations  %d/%d injections \
                    undetected  overlap %d injected/%d conflicts/%d rejected  \
@@ -233,16 +232,14 @@ let run_soak list_profiles profile schedules seconds seed json metrics mutate
                   (List.length report.Check.Soak.findings)
                   report.Check.Soak.detect_undetected
                   report.Check.Soak.detect_trials report.Check.Soak.ov_injected
-                  report.Check.Soak.ov_conflicts_seen
-                  report.Check.Soak.ov_conflicts_rejected
-                  report.Check.Soak.sheds_signalled
-                  report.Check.Soak.sheds_honoured
-                  report.Check.Soak.shed_elems report.Check.Soak.fp_runs
+                  rx.overlap.os_conflicts_seen
+                  rx.overlap.os_conflicts_rejected
+                  report.Check.Soak.sheds_signalled rx.sheds_received
+                  rx.shed_elems report.Check.Soak.fp_runs
                   report.Check.Soak.fp_hits report.Check.Soak.fp_misses
                   report.Check.Soak.fp_invalidations
                   report.Check.Soak.bz_injected report.Check.Soak.bz_flaps
-                  report.Check.Soak.bz_quarantines
-                  report.Check.Soak.bz_quarantine_drops
+                  rx.quarantines rx.quarantine_drops
                   report.Check.Soak.bz_honest_quarantined
                   report.Check.Soak.wall_seconds;
                 List.iteri print_finding report.Check.Soak.findings;

@@ -274,11 +274,11 @@ let () =
         (Significance.to_string l.l_cls)
         (l.l_elems - shed) l.l_elems)
     plan.Transport.Interleave.layout;
+  let st = CT.Receiver.stats rx in
   Printf.printf
     "  sheds: %d signalled, %d honoured (%d elements given up)\n"
-    (CT.Sender.sheds_sent tx)
-    (CT.Receiver.sheds_received rx)
-    (CT.Receiver.shed_elems rx);
+    (CT.Sender.sheds_sent tx) st.CT.Rx_stats.sheds_received
+    st.CT.Rx_stats.shed_elems;
   Printf.printf
     "  the base layer is byte-exact; only declared-sheddable spans are \
      missing.\n"

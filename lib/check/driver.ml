@@ -137,7 +137,6 @@ type observation = {
   delivered_elems : int;
   retransmissions : int;
   sack_retransmissions : int;
-  nacks_sent : int;
   tpdus_sent : int;
   packets_sent : int;
   verifier : Edc.Verifier.stats;
@@ -149,19 +148,11 @@ type observation = {
   dropper : Netsim.Dropper.stats option;
   gateways_malformed : int;
   mutated_packets : int;
-  (* control plane *)
-  reacks_sent : int;
+  rx_stats : CT.Rx_stats.t;
+      (* every receive-side counter, summed over crash incarnations *)
   aborts_sent : int;
-  aborts_received : int;
-  (* partial reliability *)
   sheds_sent : int;
-  sheds_received : int;
-  shed_elems : int;
   shed_spans : (int * int) list;
-  receiver_evictions : int;
-  conn_gcs : int;
-  displaced_conns : int;
-  unknown_drops : int;
   state_high_water : int;
   state_accounted : int;
   flood_injected : int;
@@ -178,11 +169,6 @@ type observation = {
   journal_records : int;
   multi : multi_obs option;
   metrics : metrics_probe;
-  (* overlap policy *)
-  overlap_conflicts_seen : int;
-  overlap_conflicts_rejected : int;
-  overlap_quarantined : int;
-  verified_overwrites : int;  (* must stay 0: two verified TPDUs clashing *)
   overlap_injected : int;  (* overlap-adversary packets put on the wire *)
   permuted : permuted_obs option;  (* present iff the schedule overlaps *)
   (* flow-cache fast path *)
@@ -191,14 +177,6 @@ type observation = {
          on slow-path runs *)
   coherence : coherence_obs option;
       (* present iff the schedule ran the fast path *)
-  (* byzantine containment (DESIGN §10); counters accumulate across
-     crash incarnations like every other endpoint statistic *)
-  anomalies : int;
-  sig_damage : int;
-  quarantines : int;
-  quarantine_drops : int;
-  conns_poisoned : int;
-  sheds_refused : int;
   byz : byz_obs option;  (* present iff the schedule runs the adversary *)
   blast : blast_obs option;  (* present iff [byz] is *)
 }
@@ -444,8 +422,9 @@ let build_reverse ~trace (s : Schedule.t) engine deliver =
    the single- and multi-connection paths. *)
 
 (* Per-run crash bookkeeping: counters the oracle's recovery checks
-   read, plus accumulators for statistics that die with each crashed
-   endpoint instance (the restored instance restarts them at zero). *)
+   read, plus the statistics of every endpoint incarnation the run went
+   through (a restored instance restarts its own at zero), folded in by
+   [absorb] at each crash and once at the end of the run. *)
 type crash_track = {
   mutable ct_crashes : int;
   mutable ct_restores : int;
@@ -453,32 +432,10 @@ type crash_track = {
   mutable ct_over_budget : int;
   mutable ct_roundtrip : int;
   mutable ct_corrupted : bool;  (* Corrupt_restore already applied *)
-  (* pre-crash statistics folded in at each teardown *)
-  mutable ct_failed : int;
-  mutable ct_dups : int;
-  mutable ct_chunks : int;
-  mutable ct_nacks : int;
-  mutable ct_reacks : int;
-  mutable ct_evictions : int;
-  mutable ct_aborts : int;
-  mutable ct_sheds : int;
-  mutable ct_shed_elems : int;
-  mutable ct_gcs : int;
-  mutable ct_displaced : int;
-  mutable ct_unknown : int;
-  mutable ct_high_water : int;
-  (* placement overlap counters die with each crashed instance too *)
-  mutable ct_ov_seen : int;
-  mutable ct_ov_rejected : int;
-  mutable ct_ov_quarantined : int;
-  mutable ct_ov_overwrites : int;
-  (* containment counters (multi path only) *)
-  mutable ct_anomalies : int;
-  mutable ct_sig_damage : int;
-  mutable ct_quarantines : int;
-  mutable ct_quar_drops : int;
-  mutable ct_poisoned : int;
-  mutable ct_sheds_refused : int;
+  mutable ct_rx : CT.Rx_stats.t;
+  mutable ct_verifier : Edc.Verifier.stats;
+  mutable ct_fastpath : Transport.Flowcache.stats;
+  mutable ct_high_water : int;  (* governor high water, max over all *)
 }
 
 let crash_track () =
@@ -489,39 +446,17 @@ let crash_track () =
     ct_over_budget = 0;
     ct_roundtrip = 0;
     ct_corrupted = false;
-    ct_failed = 0;
-    ct_dups = 0;
-    ct_chunks = 0;
-    ct_nacks = 0;
-    ct_reacks = 0;
-    ct_evictions = 0;
-    ct_aborts = 0;
-    ct_sheds = 0;
-    ct_shed_elems = 0;
-    ct_gcs = 0;
-    ct_displaced = 0;
-    ct_unknown = 0;
+    ct_rx = CT.Rx_stats.zero ();
+    ct_verifier = Edc.Verifier.zero_stats;
+    ct_fastpath = Transport.Flowcache.zero_stats;
     ct_high_water = 0;
-    ct_ov_seen = 0;
-    ct_ov_rejected = 0;
-    ct_ov_quarantined = 0;
-    ct_ov_overwrites = 0;
-    ct_anomalies = 0;
-    ct_sig_damage = 0;
-    ct_quarantines = 0;
-    ct_quar_drops = 0;
-    ct_poisoned = 0;
-    ct_sheds_refused = 0;
   }
 
-let absorb_overlap ct (os : Labelling.Placement.overlap_stats) =
-  ct.ct_ov_seen <- ct.ct_ov_seen + os.Labelling.Placement.os_conflicts_seen;
-  ct.ct_ov_rejected <-
-    ct.ct_ov_rejected + os.Labelling.Placement.os_conflicts_rejected;
-  ct.ct_ov_quarantined <-
-    ct.ct_ov_quarantined + os.Labelling.Placement.os_quarantined;
-  ct.ct_ov_overwrites <-
-    ct.ct_ov_overwrites + os.Labelling.Placement.os_verified_overwrites
+let absorb ct ~rx ~verifier ~fastpath (gov : Transport.Governor.stats) =
+  ct.ct_rx <- CT.Rx_stats.add ct.ct_rx rx;
+  ct.ct_verifier <- Edc.Verifier.add_stats ct.ct_verifier verifier;
+  ct.ct_fastpath <- Transport.Flowcache.add_stats ct.ct_fastpath fastpath;
+  ct.ct_high_water <- max ct.ct_high_water gov.Transport.Governor.high_water
 
 (* The codec must be a fixpoint on every image it produced itself; a
    re-encode that fails to decode back to the same value means the
@@ -735,21 +670,11 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   in
   receiver := Some rx;
   let ct = crash_track () in
-  let fp = ref Transport.Flowcache.zero_stats in
-  let absorb rx =
-    fp := Transport.Flowcache.add_stats !fp (CT.Receiver.fastpath_stats rx);
-    let v = CT.Receiver.verifier_stats rx in
-    ct.ct_failed <- ct.ct_failed + v.Edc.Verifier.tpdus_failed;
-    ct.ct_dups <- ct.ct_dups + v.Edc.Verifier.duplicates;
-    ct.ct_chunks <- ct.ct_chunks + v.Edc.Verifier.chunks_seen;
-    ct.ct_nacks <- ct.ct_nacks + CT.Receiver.nacks_sent rx;
-    ct.ct_reacks <- ct.ct_reacks + CT.Receiver.reacks_sent rx;
-    ct.ct_evictions <- ct.ct_evictions + CT.Receiver.evictions rx;
-    ct.ct_aborts <- ct.ct_aborts + CT.Receiver.aborts_received rx;
-    ct.ct_high_water <-
-      max ct.ct_high_water
-        (CT.Receiver.governor_stats rx).Transport.Governor.high_water;
-    absorb_overlap ct (CT.Receiver.overlap_stats rx)
+  let absorb_rx rx =
+    absorb ct ~rx:(CT.Receiver.stats rx)
+      ~verifier:(CT.Receiver.verifier_stats rx)
+      ~fastpath:(CT.Receiver.fastpath_stats rx)
+      (CT.Receiver.governor_stats rx)
   in
   schedule_snapshots engine s store (fun () ->
       Option.map
@@ -812,7 +737,10 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
                 s_rx = CT.Receiver.export rx;
               }
             in
-            if CT.Receiver.evictions rx = 0 && Persist.Single re <> img then
+            if
+              (CT.Receiver.stats rx).CT.Rx_stats.evictions = 0
+              && Persist.Single re <> img
+            then
               ct.ct_roundtrip <- ct.ct_roundtrip + 1;
             if ledger_in_flight_clash ~acked:re.Persist.s_acked re.Persist.s_rx
             then ct.ct_bad <- ct.ct_bad + 1;
@@ -835,7 +763,7 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
           | Some rx ->
               ct.ct_crashes <- ct.ct_crashes + 1;
               trec "CRASH receiver, down %.4fs" c.Schedule.cr_restart;
-              absorb rx;
+              absorb_rx rx;
               CT.Receiver.quiesce rx;
               receiver := None);
       Netsim.Engine.schedule engine
@@ -848,7 +776,7 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   CT.Sender.start tx;
   Netsim.Engine.run ~until:horizon engine;
   let rx = match !receiver with Some r -> r | None -> rx in
-  absorb rx;
+  absorb_rx rx;
   let delivered = CT.Receiver.contents rx in
   let n = Bytes.length data in
   let shed_spans = CT.Receiver.shed_spans rx in
@@ -876,7 +804,6 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
     delivered_elems = CT.Receiver.delivered_elems rx;
     retransmissions = CT.Sender.retransmissions tx;
     sack_retransmissions = CT.Sender.sack_retransmissions tx;
-    nacks_sent = ct.ct_nacks;
     tpdus_sent = CT.Sender.tpdus_sent tx;
     packets_sent = CT.Sender.packets_sent tx;
     (* Whole-epoch counts: pass totals carry across restarts via
@@ -884,10 +811,8 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
        receiver instance the run went through. *)
     verifier =
       {
+        ct.ct_verifier with
         Edc.Verifier.tpdus_passed = CT.Receiver.epoch_passes rx;
-        tpdus_failed = ct.ct_failed;
-        duplicates = ct.ct_dups;
-        chunks_seen = ct.ct_chunks;
       };
     verifier_in_flight = CT.Receiver.verifier_in_flight rx;
     stashed_tpdus = CT.Receiver.stashed_tpdus rx;
@@ -897,17 +822,10 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
     dropper = p.dropper_stats ();
     gateways_malformed = p.gateways_malformed ();
     mutated_packets = !(p.mutated) + !clobbered;
-    reacks_sent = ct.ct_reacks;
+    rx_stats = ct.ct_rx;
     aborts_sent = CT.Sender.aborts_sent tx;
-    aborts_received = ct.ct_aborts;
     sheds_sent = CT.Sender.sheds_sent tx;
-    sheds_received = CT.Receiver.sheds_received rx;
-    shed_elems = CT.Receiver.shed_elems rx;
     shed_spans;
-    receiver_evictions = ct.ct_evictions;
-    conn_gcs = 0;
-    displaced_conns = 0;
-    unknown_drops = 0;
     state_high_water = ct.ct_high_water;
     state_accounted = gov.Transport.Governor.accounted_bytes;
     flood_injected = 0;
@@ -923,23 +841,13 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
     journal_records = Persist.Store.journal_records store;
     multi = None;
     metrics = probe_end probe0;
-    overlap_conflicts_seen = ct.ct_ov_seen;
-    overlap_conflicts_rejected = ct.ct_ov_rejected;
-    overlap_quarantined = ct.ct_ov_quarantined;
-    verified_overwrites = ct.ct_ov_overwrites;
     overlap_injected =
       (match !overlapper with
       | Some o -> (Netsim.Overlapper.stats o).Netsim.Overlapper.injected
       | None -> 0);
     permuted = None;
-    fastpath_stats = !fp;
+    fastpath_stats = ct.ct_fastpath;
     coherence = None;
-    anomalies = 0;
-    sig_damage = 0;
-    quarantines = 0;
-    quarantine_drops = 0;
-    conns_poisoned = 0;
-    sheds_refused = 0;
     byz = None;
     blast = None;
   }
@@ -1032,32 +940,16 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
   in
   multi := Some m;
   let ct = crash_track () in
-  let fp = ref Transport.Flowcache.zero_stats in
-  let absorb m =
-    (let f = Transport.Multi.fastpath_stats m in
-     fp :=
-       Transport.Flowcache.add_stats !fp
-         (Transport.Flowcache.add_stats f.Transport.Multi.fp_conn
-            f.Transport.Multi.fp_tpdu));
-    ct.ct_reacks <- ct.ct_reacks + Transport.Multi.reacks_sent m;
-    ct.ct_evictions <- ct.ct_evictions + Transport.Multi.evictions m;
-    ct.ct_aborts <- ct.ct_aborts + Transport.Multi.aborts_received m;
-    ct.ct_sheds <- ct.ct_sheds + Transport.Multi.sheds_received m;
-    ct.ct_shed_elems <- ct.ct_shed_elems + Transport.Multi.shed_elems m;
-    ct.ct_gcs <- ct.ct_gcs + Transport.Multi.conn_gcs m;
-    ct.ct_displaced <- ct.ct_displaced + Transport.Multi.displaced_conns m;
-    ct.ct_unknown <- ct.ct_unknown + Transport.Multi.unknown_drops m;
-    ct.ct_high_water <-
-      max ct.ct_high_water
-        (Transport.Multi.governor_stats m).Transport.Governor.high_water;
-    ct.ct_anomalies <- ct.ct_anomalies + Transport.Multi.anomalies m;
-    ct.ct_sig_damage <- ct.ct_sig_damage + Transport.Multi.sig_damage m;
-    ct.ct_quarantines <- ct.ct_quarantines + Transport.Multi.quarantines m;
-    ct.ct_quar_drops <- ct.ct_quar_drops + Transport.Multi.quarantine_drops m;
-    ct.ct_poisoned <- ct.ct_poisoned + Transport.Multi.conns_poisoned m;
-    ct.ct_sheds_refused <-
-      ct.ct_sheds_refused + Transport.Multi.sheds_refused m;
-    absorb_overlap ct (Transport.Multi.overlap_stats m)
+  (* Archived epochs release their verifiers, so no meaningful verifier
+     aggregate exists; the oracle's verifier-stats checks are
+     single-path only. *)
+  let absorb_multi m =
+    let f = Transport.Multi.fastpath_stats m in
+    absorb ct ~rx:(Transport.Multi.stats m) ~verifier:Edc.Verifier.zero_stats
+      ~fastpath:
+        (Transport.Flowcache.add_stats f.Transport.Multi.fp_conn
+           f.Transport.Multi.fp_tpdu)
+      (Transport.Multi.governor_stats m)
   in
   schedule_snapshots engine s store (fun () ->
       Option.map
@@ -1099,10 +991,11 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
               Obs.Metrics.observe_s Persist.m_recovery
                 (Unix.gettimeofday () -. t0);
             let re = Transport.Multi.export m' in
+            let st = Transport.Multi.stats m' in
             if
-              Transport.Multi.evictions m' = 0
-              && Transport.Multi.displaced_conns m' = 0
-              && Transport.Multi.conn_gcs m' = 0
+              st.CT.Rx_stats.evictions = 0
+              && st.CT.Rx_stats.displaced_conns = 0
+              && st.CT.Rx_stats.conn_gcs = 0
               && Persist.Multi re <> img
             then ct.ct_roundtrip <- ct.ct_roundtrip + 1;
             List.iter
@@ -1132,7 +1025,7 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
           | Some m ->
               ct.ct_crashes <- ct.ct_crashes + 1;
               trec "CRASH demultiplexer, down %.4fs" c.Schedule.cr_restart;
-              absorb m;
+              absorb_multi m;
               Transport.Multi.teardown m;
               multi := None);
       Netsim.Engine.schedule engine
@@ -1258,7 +1151,7 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
              ~inject_ack:demux_reverse ()));
   Netsim.Engine.run ~until:horizon engine;
   let m = match !multi with Some m -> m | None -> m in
-  absorb m;
+  absorb_multi m;
   (* Join the driver-side epochs with the receiver-side reports. *)
   let mo_epochs =
     List.map
@@ -1306,16 +1199,6 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
   in
   let gov = Transport.Multi.governor_stats m in
   let first_epoch = List.hd mo_epochs in
-  (* Archived epochs release their verifiers, so no meaningful aggregate
-     exists; the oracle's verifier-stats checks are single-path only. *)
-  let verifier =
-    {
-      Edc.Verifier.tpdus_passed = 0;
-      tpdus_failed = 0;
-      duplicates = 0;
-      chunks_seen = 0;
-    }
-  in
   (* The endpoint-side view of the byzantine connections at quiescence.
      The quarantine ledger survives crashes (it is persisted per
      connection image), so [conn_stats] on the final incarnation is the
@@ -1373,10 +1256,9 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
     delivered_elems = 0;
     retransmissions = sum CT.Sender.retransmissions;
     sack_retransmissions = sum CT.Sender.sack_retransmissions;
-    nacks_sent = 0;
     tpdus_sent = sum CT.Sender.tpdus_sent;
     packets_sent = sum CT.Sender.packets_sent;
-    verifier;
+    verifier = ct.ct_verifier;
     verifier_in_flight = Transport.Multi.live_in_flight m;
     stashed_tpdus = Transport.Multi.live_stashed m;
     engine_pending = Netsim.Engine.pending engine;
@@ -1385,17 +1267,10 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
     dropper = p.dropper_stats ();
     gateways_malformed = p.gateways_malformed ();
     mutated_packets = !(p.mutated);
-    reacks_sent = ct.ct_reacks;
+    rx_stats = ct.ct_rx;
     aborts_sent = sum CT.Sender.aborts_sent;
-    aborts_received = ct.ct_aborts;
     sheds_sent = sum CT.Sender.sheds_sent;
-    sheds_received = ct.ct_sheds;
-    shed_elems = ct.ct_shed_elems;
     shed_spans = [];
-    receiver_evictions = ct.ct_evictions;
-    conn_gcs = ct.ct_gcs;
-    displaced_conns = ct.ct_displaced;
-    unknown_drops = ct.ct_unknown;
     state_high_water = ct.ct_high_water;
     state_accounted = gov.Transport.Governor.accounted_bytes;
     flood_injected =
@@ -1426,20 +1301,10 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
           mo_known_conns = List.length (Transport.Multi.known_conns m);
         };
     metrics = probe_end probe0;
-    overlap_conflicts_seen = ct.ct_ov_seen;
-    overlap_conflicts_rejected = ct.ct_ov_rejected;
-    overlap_quarantined = ct.ct_ov_quarantined;
-    verified_overwrites = ct.ct_ov_overwrites;
     overlap_injected = 0;
     permuted = None;
-    fastpath_stats = !fp;
+    fastpath_stats = ct.ct_fastpath;
     coherence = None;
-    anomalies = ct.ct_anomalies;
-    sig_damage = ct.ct_sig_damage;
-    quarantines = ct.ct_quarantines;
-    quarantine_drops = ct.ct_quar_drops;
-    conns_poisoned = ct.ct_poisoned;
-    sheds_refused = ct.ct_sheds_refused;
     byz = byz_report;
     blast = None;
   }

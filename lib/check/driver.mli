@@ -146,7 +146,6 @@ type observation = {
   delivered_elems : int;
   retransmissions : int;
   sack_retransmissions : int;
-  nacks_sent : int;
   tpdus_sent : int;
   packets_sent : int;
   verifier : Edc.Verifier.stats;
@@ -160,20 +159,19 @@ type observation = {
   dropper : Netsim.Dropper.stats option;
   gateways_malformed : int;
   mutated_packets : int;
-  reacks_sent : int;  (** re-acknowledgements of already-done TPDUs *)
+  rx_stats : Transport.Chunk_transport.Rx_stats.t;
+      (** every receive-side counter — NACKs, re-ACKs, evictions, aborts,
+          sheds, overlap conflicts, connection GC/displacement/drops and
+          containment — summed over every endpoint incarnation the run
+          went through ({!Transport.Chunk_transport.Receiver.stats} or
+          {!Transport.Multi.stats} at each crash and at the end).  The
+          endpoint fields stay zero on single-path runs. *)
   aborts_sent : int;  (** sender give-ups signalled via [Abort_tpdu] *)
-  aborts_received : int;  (** aborts honoured by the receiver *)
   sheds_sent : int;  (** sender shed decisions signalled via [Shed_tpdu] *)
-  sheds_received : int;  (** sheds honoured by the receiver *)
-  shed_elems : int;  (** elements covered by honoured sheds *)
   shed_spans : (int * int) list;
       (** the receiver's honoured shed spans [(first_elem, elems)],
           ascending; empty in multi mode (sheds are single-transfer
           only) *)
-  receiver_evictions : int;  (** governor deadline/budget evictions *)
-  conn_gcs : int;  (** whole connections reclaimed by deadline *)
-  displaced_conns : int;  (** live connections displaced by admission *)
-  unknown_drops : int;  (** chunks for never-admitted connections *)
   state_high_water : int;  (** governor high-water mark, bytes *)
   state_accounted : int;  (** bytes still accounted at quiescence *)
   flood_injected : int;  (** adversary packets injected *)
@@ -198,16 +196,6 @@ type observation = {
   journal_records : int;  (** journal records appended over the run *)
   multi : multi_obs option;  (** present iff the schedule is multi *)
   metrics : metrics_probe;
-  overlap_conflicts_seen : int;
-      (** occupied-with-different-bytes placement collisions *)
-  overlap_conflicts_rejected : int;
-      (** collisions discarded because the incumbent bytes were already
-          WSC-2-verified (first-verified-wins) *)
-  overlap_quarantined : int;
-      (** fresh-vs-fresh collisions held back for the writer's verdict *)
-  verified_overwrites : int;
-      (** verified bytes replaced by different verified bytes — must be
-          zero in every profile (the overlap-consistency check) *)
   overlap_injected : int;  (** overlap-adversary packets put on the wire *)
   permuted : permuted_obs option;  (** present iff the schedule overlaps *)
   fastpath_stats : Transport.Flowcache.stats;
@@ -215,15 +203,6 @@ type observation = {
           crash incarnations; all zero on slow-path runs *)
   coherence : coherence_obs option;
       (** present iff the schedule ran the fast path *)
-  anomalies : int;
-      (** protocol anomalies attributed to connections, scored and
-          unscored alike *)
-  sig_damage : int;
-      (** structurally valid signal chunks whose payload failed parity *)
-  quarantines : int;  (** admissions revoked across all connections *)
-  quarantine_drops : int;  (** events refused from boxed connections *)
-  conns_poisoned : int;  (** connections torn down by exception bulkheads *)
-  sheds_refused : int;  (** shed signals refused by the local classifier *)
   byz : byz_obs option;  (** present iff the schedule runs the adversary *)
   blast : blast_obs option;  (** present iff [byz] is *)
 }

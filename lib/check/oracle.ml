@@ -40,6 +40,7 @@ let starvable (s : Schedule.t) =
 let check ~(schedule : Schedule.t) ~(model : Model.t)
     ~(observation : Driver.observation) =
   let s = schedule and m = model and o = observation in
+  let r = o.Driver.rx_stats in
   let vs = ref [] in
   let fail code fmt =
     Printf.ksprintf (fun detail -> vs := { code; detail } :: !vs) fmt
@@ -93,8 +94,8 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
       o.stashed_tpdus;
   (* SACK plumbing only runs when asked for. *)
   if not s.Schedule.sack then begin
-    if o.nacks_sent > 0 then
-      fail "sack-off" "%d NACKs sent with SACK disabled" o.nacks_sent;
+    if r.nacks_sent > 0 then
+      fail "sack-off" "%d NACKs sent with SACK disabled" r.nacks_sent;
     if o.sack_retransmissions > 0 then
       fail "sack-off" "%d selective retransmissions with SACK disabled"
         o.sack_retransmissions
@@ -112,13 +113,13 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
     if o.sack_retransmissions > 0 then
       fail "quiet-sack" "%d selective retransmissions on a faultless run"
         o.sack_retransmissions;
-    if o.nacks_sent > 0 then
-      fail "quiet-nack" "%d NACKs on a faultless run" o.nacks_sent;
+    if r.nacks_sent > 0 then
+      fail "quiet-nack" "%d NACKs on a faultless run" r.nacks_sent;
     if o.verifier.Edc.Verifier.duplicates > 0 then
       fail "quiet-dup" "%d duplicate chunks seen on a faultless run"
         o.verifier.Edc.Verifier.duplicates;
-    if o.reacks_sent > 0 then
-      fail "quiet-reack" "%d re-ACKs on a faultless run" o.reacks_sent
+    if r.reacks_sent > 0 then
+      fail "quiet-reack" "%d re-ACKs on a faultless run" r.reacks_sent
   end;
   (* Metrics-driven checks, fed by the driver's per-run deltas of the
      [Obs] registry (all zeros when the layer is compiled out, so both
@@ -178,12 +179,12 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
         when both runs complete, they must deliver byte-identical
         data.  Either the adversary's bytes never reach delivery, or
         the policy is order-sensitive — and then this catches it. *)
-  if o.verified_overwrites > 0 then
+  if r.overlap.os_verified_overwrites > 0 then
     fail "overlap-consistency"
       "%d verified bytes were overwritten by conflicting data \
        (first-verified-wins violated; %d conflicts seen, %d rejected)"
-      o.verified_overwrites o.overlap_conflicts_seen
-      o.overlap_conflicts_rejected;
+      r.overlap.os_verified_overwrites r.overlap.os_conflicts_seen
+      r.overlap.os_conflicts_rejected;
   (match o.permuted with
   | Some p
     when o.complete && (not o.gave_up) && p.Driver.p_complete
@@ -254,9 +255,9 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
      contract.  A receiver that honours a shed with no contract in the
      schedule has thrown away bytes the model calls mandatory — the
      shed-clobber mutation trips exactly this. *)
-  if s.Schedule.shed = None && (o.sheds_received > 0 || o.sheds_sent > 0) then
+  if s.Schedule.shed = None && (r.sheds_received > 0 || o.sheds_sent > 0) then
     fail "shed-safety" "%d sheds honoured (%d signalled) with no shed contract"
-      o.sheds_received o.sheds_sent;
+      r.sheds_received o.sheds_sent;
   (match o.multi with
   | None ->
       (* Partial reliability, part two: every span the receiver honoured
@@ -271,10 +272,10 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
               "receiver shed span (%d+%d) outside the shed contract" first
               len)
         o.shed_spans;
-      if List.length o.shed_spans <> o.sheds_received then
+      if List.length o.shed_spans <> r.sheds_received then
         fail "shed-safety" "%d shed spans recorded but %d sheds honoured"
           (List.length o.shed_spans)
-          o.sheds_received;
+          r.sheds_received;
       (* Delivery: the delivered buffer must equal the model's
          expectation byte for byte — placement by label, across any
          amount of refragmentation and disorder, reconstructs the stream
@@ -290,12 +291,12 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
            before the shed are already in the buffer, so the count may
            sit anywhere between all-shed-elements-missing and none. *)
         if
-          o.delivered_elems < m.Model.elems - o.shed_elems
+          o.delivered_elems < m.Model.elems - r.shed_elems
           || o.delivered_elems > m.Model.elems
         then
           fail "element-count"
             "delivered %d elements, model expects %d less at most %d shed"
-            o.delivered_elems m.Model.elems o.shed_elems;
+            o.delivered_elems m.Model.elems r.shed_elems;
         if Bytes.length o.delivered <> Bytes.length m.Model.expected then
           fail "data-mismatch" "delivered %d bytes, model expects %d"
             (Bytes.length o.delivered)
@@ -323,13 +324,13 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
       if s.Schedule.corrupt = 0.0 && s.Schedule.overlap = None then begin
         if
           o.verifier.Edc.Verifier.tpdus_failed
-          > o.receiver_evictions + o.aborts_received + o.sheds_received
+          > r.evictions + r.aborts_received + r.sheds_received
         then
           fail "clean-fail"
             "%d TPDUs failed verification with corruption off (%d \
              evictions + %d aborts + %d sheds)"
-            o.verifier.Edc.Verifier.tpdus_failed o.receiver_evictions
-            o.aborts_received o.sheds_received;
+            o.verifier.Edc.Verifier.tpdus_failed r.evictions
+            r.aborts_received r.sheds_received;
         if o.gateways_malformed > 0 then
           fail "clean-malformed"
             "%d packets unparseable at gateways with corruption off"
@@ -342,12 +343,12 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
         if
           (not s.Schedule.adaptive)
           && o.verifier.Edc.Verifier.tpdus_passed
-             <> m.Model.n_tpdus - o.sheds_received
+             <> m.Model.n_tpdus - r.sheds_received
         then
           fail "tpdu-count"
             "%d TPDUs passed, model expects exactly %d (%d shed)"
             o.verifier.Edc.Verifier.tpdus_passed m.Model.n_tpdus
-            o.sheds_received;
+            r.sheds_received;
         if
           s.Schedule.adaptive
           && o.verifier.Edc.Verifier.tpdus_passed < m.Model.n_tpdus
@@ -408,11 +409,11 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
      never have fired in any profile: a poisoned connection means some
      input made the endpoint throw, which the bulkhead contained — but
      the throw itself is the bug to surface. *)
-  if o.conns_poisoned > 0 then
+  if r.conns_poisoned > 0 then
     fail "bulkhead-poisoned"
       "%d connections poisoned by exception bulkheads (the endpoint threw \
        while processing their traffic)"
-      o.conns_poisoned;
+      r.conns_poisoned;
   (match o.byz with
   | None -> ()
   | Some b ->
@@ -454,7 +455,7 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
         (fun (bc : Driver.byz_conn_obs) ->
           if
             bc.Driver.bc_epochs > 8 * (1 + o.restores)
-            && o.quarantines = 0
+            && r.quarantines = 0
           then
             fail "isolation-budget"
               "byzantine conn %d started %d epochs (> %d) yet no admission \

@@ -13,47 +13,29 @@ type profile =
   | Fastpath_hostile
   | Byzantine_hostile
 
-let profile_name = function
-  | Clean -> "clean"
-  | Lossy -> "lossy"
-  | Hostile -> "hostile"
-  | Hostile_flood -> "hostile-flood"
-  | Outage_recover -> "outage-recover"
-  | Crash_restart -> "crash-restart"
-  | Crash_flood -> "crash-flood"
-  | Overlap_hostile -> "overlap-hostile"
-  | Degrade_hostile -> "degrade-hostile"
-  | Fastpath_hostile -> "fastpath-hostile"
-  | Byzantine_hostile -> "byzantine-hostile"
-
-let profile_of_name = function
-  | "clean" -> Some Clean
-  | "lossy" -> Some Lossy
-  | "hostile" -> Some Hostile
-  | "hostile-flood" -> Some Hostile_flood
-  | "outage-recover" -> Some Outage_recover
-  | "crash-restart" -> Some Crash_restart
-  | "crash-flood" -> Some Crash_flood
-  | "overlap-hostile" -> Some Overlap_hostile
-  | "degrade-hostile" -> Some Degrade_hostile
-  | "fastpath-hostile" -> Some Fastpath_hostile
-  | "byzantine-hostile" -> Some Byzantine_hostile
-  | _ -> None
-
-let all_profiles =
+(* The one profile table: presentation order, and each profile's name
+   in schedule lines and on the command line. *)
+let profiles =
   [
-    Clean;
-    Lossy;
-    Hostile;
-    Hostile_flood;
-    Outage_recover;
-    Crash_restart;
-    Crash_flood;
-    Overlap_hostile;
-    Degrade_hostile;
-    Fastpath_hostile;
-    Byzantine_hostile;
+    (Clean, "clean");
+    (Lossy, "lossy");
+    (Hostile, "hostile");
+    (Hostile_flood, "hostile-flood");
+    (Outage_recover, "outage-recover");
+    (Crash_restart, "crash-restart");
+    (Crash_flood, "crash-flood");
+    (Overlap_hostile, "overlap-hostile");
+    (Degrade_hostile, "degrade-hostile");
+    (Fastpath_hostile, "fastpath-hostile");
+    (Byzantine_hostile, "byzantine-hostile");
   ]
+
+let profile_name p = List.assoc p profiles
+
+let profile_of_name name =
+  List.find_map (fun (p, n) -> if n = name then Some p else None) profiles
+
+let all_profiles = List.map fst profiles
 
 type spread = Round_robin | Random_path | Route_change of float
 

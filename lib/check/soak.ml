@@ -11,21 +11,15 @@ type report = {
   findings : finding list;
   detect_trials : int;
   detect_undetected : int;
+  rx : Transport.Chunk_transport.Rx_stats.t;
   ov_injected : int;
-  ov_conflicts_seen : int;
-  ov_conflicts_rejected : int;
   sheds_signalled : int;
-  sheds_honoured : int;
-  shed_elems : int;
   fp_runs : int;
   fp_hits : int;
   fp_misses : int;
   fp_invalidations : int;
   bz_injected : int;
   bz_flaps : int;
-  bz_anomalies : int;
-  bz_quarantines : int;
-  bz_quarantine_drops : int;
   bz_honest_quarantined : int;
   wall_seconds : float;
 }
@@ -49,19 +43,13 @@ let run_profile ?(mutation = Driver.No_mutation) ?(schedules = 1000) ?seconds
   let n_findings = ref 0 in
   let detect_trials = ref 0 in
   let detect_undetected = ref 0 in
+  let rx = ref (Transport.Chunk_transport.Rx_stats.zero ()) in
   let ov_injected = ref 0 in
-  let ov_seen = ref 0 in
-  let ov_rejected = ref 0 in
   let sheds_signalled = ref 0 in
-  let sheds_honoured = ref 0 in
-  let shed_elems = ref 0 in
   let fp_runs = ref 0 in
   let fp = ref Transport.Flowcache.zero_stats in
   let bz_injected = ref 0 in
   let bz_flaps = ref 0 in
-  let bz_anomalies = ref 0 in
-  let bz_quarantines = ref 0 in
-  let bz_quarantine_drops = ref 0 in
   let bz_honest_quarantined = ref 0 in
   let i = ref 0 in
   while !i < schedules && not (out_of_time ()) do
@@ -69,18 +57,12 @@ let run_profile ?(mutation = Driver.No_mutation) ?(schedules = 1000) ?seconds
     let schedule = Schedule.generate ~profile ~seed:sched_seed in
     let model = Model.of_schedule schedule in
     let observation = Driver.run ~mutation schedule in
+    rx :=
+      Transport.Chunk_transport.Rx_stats.add !rx observation.Driver.rx_stats;
     ov_injected := !ov_injected + observation.Driver.overlap_injected;
-    ov_seen := !ov_seen + observation.Driver.overlap_conflicts_seen;
-    ov_rejected := !ov_rejected + observation.Driver.overlap_conflicts_rejected;
     sheds_signalled := !sheds_signalled + observation.Driver.sheds_sent;
-    sheds_honoured := !sheds_honoured + observation.Driver.sheds_received;
-    shed_elems := !shed_elems + observation.Driver.shed_elems;
     if schedule.Schedule.fastpath then incr fp_runs;
     fp := Transport.Flowcache.add_stats !fp observation.Driver.fastpath_stats;
-    bz_anomalies := !bz_anomalies + observation.Driver.anomalies;
-    bz_quarantines := !bz_quarantines + observation.Driver.quarantines;
-    bz_quarantine_drops :=
-      !bz_quarantine_drops + observation.Driver.quarantine_drops;
     (match observation.Driver.byz with
     | None -> ()
     | Some b ->
@@ -121,21 +103,15 @@ let run_profile ?(mutation = Driver.No_mutation) ?(schedules = 1000) ?seconds
     findings = List.rev !findings;
     detect_trials = !detect_trials;
     detect_undetected = !detect_undetected;
+    rx = !rx;
     ov_injected = !ov_injected;
-    ov_conflicts_seen = !ov_seen;
-    ov_conflicts_rejected = !ov_rejected;
     sheds_signalled = !sheds_signalled;
-    sheds_honoured = !sheds_honoured;
-    shed_elems = !shed_elems;
     fp_runs = !fp_runs;
     fp_hits = !fp.Transport.Flowcache.s_hits;
     fp_misses = !fp.Transport.Flowcache.s_misses;
     fp_invalidations = !fp.Transport.Flowcache.s_invalidations;
     bz_injected = !bz_injected;
     bz_flaps = !bz_flaps;
-    bz_anomalies = !bz_anomalies;
-    bz_quarantines = !bz_quarantines;
-    bz_quarantine_drops = !bz_quarantine_drops;
     bz_honest_quarantined = !bz_honest_quarantined;
     wall_seconds = Unix.gettimeofday () -. t0;
   }
@@ -184,11 +160,12 @@ let json_of_report r =
     (json_str (Driver.mutation_to_string r.mutation))
     r.schedules_run
     (String.concat "," (List.map json_of_finding r.findings))
-    r.detect_trials r.detect_undetected r.ov_injected r.ov_conflicts_seen
-    r.ov_conflicts_rejected r.sheds_signalled r.sheds_honoured r.shed_elems
-    r.fp_runs r.fp_hits r.fp_misses r.fp_invalidations r.bz_injected
-    r.bz_flaps r.bz_anomalies r.bz_quarantines r.bz_quarantine_drops
-    r.bz_honest_quarantined r.wall_seconds
+    r.detect_trials r.detect_undetected r.ov_injected
+    r.rx.overlap.os_conflicts_seen r.rx.overlap.os_conflicts_rejected
+    r.sheds_signalled r.rx.sheds_received r.rx.shed_elems r.fp_runs r.fp_hits
+    r.fp_misses r.fp_invalidations r.bz_injected r.bz_flaps r.rx.anomalies
+    r.rx.quarantines r.rx.quarantine_drops r.bz_honest_quarantined
+    r.wall_seconds
 
 let json_of_reports reports =
   Printf.sprintf "{\"reports\":[%s]}"

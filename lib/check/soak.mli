@@ -16,22 +16,17 @@ type report = {
   detect_trials : int;
       (** Table 1 fault-injection samples interleaved with the soak *)
   detect_undetected : int;  (** trials where wrong data got through *)
+  rx : Transport.Chunk_transport.Rx_stats.t;
+      (** every run's [rx_stats] ({!Driver.observation}), summed — overlap
+          conflicts, honoured sheds, containment and the rest *)
   ov_injected : int;  (** overlap-adversary packets injected, all runs *)
-  ov_conflicts_seen : int;  (** placement byte conflicts observed *)
-  ov_conflicts_rejected : int;
-      (** conflicts discarded by first-verified-wins *)
   sheds_signalled : int;  (** sender shed decisions, all runs *)
-  sheds_honoured : int;  (** sheds the receivers honoured, all runs *)
-  shed_elems : int;  (** elements covered by honoured sheds, all runs *)
   fp_runs : int;  (** schedules that ran the flow-cache fast path *)
   fp_hits : int;  (** flow-cache hits, both layers, all runs *)
   fp_misses : int;  (** flow-cache misses, both layers, all runs *)
   fp_invalidations : int;  (** eager invalidations, both layers, all runs *)
   bz_injected : int;  (** byzantine-adversary packets injected, all runs *)
   bz_flaps : int;  (** byzantine Open/garbage/Close cycles, all runs *)
-  bz_anomalies : int;  (** endpoint anomalies attributed, all runs *)
-  bz_quarantines : int;  (** admissions revoked, all runs *)
-  bz_quarantine_drops : int;  (** events refused from boxed conns, all runs *)
   bz_honest_quarantined : int;
       (** honest connections ever boxed under byzantine fire — the
           [honest-immunity] row demands this stays 0 *)

@@ -121,6 +121,13 @@ val lock_span : t -> sn:int -> len:int -> unit
 
 val overlap_stats : t -> overlap_stats
 
+val zero_overlap_stats : overlap_stats
+(** All-zero {!type:overlap_stats}, the identity of {!add_overlap_stats}. *)
+
+val add_overlap_stats : overlap_stats -> overlap_stats -> overlap_stats
+(** Field-wise sum — used to aggregate across buffers (epochs, crash
+    incarnations). *)
+
 val placed_elems : t -> int
 (** Distinct elements covered by a placed or restored run so far;
     constant time. *)

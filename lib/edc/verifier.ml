@@ -425,6 +425,17 @@ let stats v =
     chunks_seen = v.seen;
   }
 
+let zero_stats =
+  { tpdus_passed = 0; tpdus_failed = 0; duplicates = 0; chunks_seen = 0 }
+
+let add_stats a b =
+  {
+    tpdus_passed = a.tpdus_passed + b.tpdus_passed;
+    tpdus_failed = a.tpdus_failed + b.tpdus_failed;
+    duplicates = a.duplicates + b.duplicates;
+    chunks_seen = a.chunks_seen + b.chunks_seen;
+  }
+
 (* Persisted image of one in-flight TPDU: every field of [tpdu_state]
    that cannot be re-derived, in canonical (sorted) order so that
    export/import round-trips are comparable structurally.  [born] is

@@ -93,6 +93,12 @@ type stats = {
 
 val stats : t -> stats
 
+val zero_stats : stats
+(** All-zero {!type:stats}, the identity of {!add_stats}. *)
+
+val add_stats : stats -> stats -> stats
+(** Field-wise sum — used to aggregate across crash incarnations. *)
+
 (** {1 Persistence}
 
     The paper's compact-state argument made durable: an in-flight TPDU

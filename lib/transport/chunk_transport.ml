@@ -142,6 +142,70 @@ let parse_nack chunk =
     end
   end
 
+module Rx_stats = struct
+  type t = {
+    mutable nacks_sent : int;
+    mutable reacks_sent : int;
+    mutable evictions : int;
+    mutable aborts_received : int;
+    mutable sheds_received : int;
+    mutable shed_elems : int;
+    mutable sheds_refused : int;
+    overlap : Placement.overlap_stats;
+    mutable conn_gcs : int;
+    mutable displaced_conns : int;
+    mutable unknown_drops : int;
+    mutable late_drops : int;
+    mutable anomalies : int;
+    mutable sig_damage : int;
+    mutable quarantines : int;
+    mutable quarantine_drops : int;
+    mutable conns_poisoned : int;
+  }
+
+  let zero () =
+    {
+      nacks_sent = 0;
+      reacks_sent = 0;
+      evictions = 0;
+      aborts_received = 0;
+      sheds_received = 0;
+      shed_elems = 0;
+      sheds_refused = 0;
+      overlap = Placement.zero_overlap_stats;
+      conn_gcs = 0;
+      displaced_conns = 0;
+      unknown_drops = 0;
+      late_drops = 0;
+      anomalies = 0;
+      sig_damage = 0;
+      quarantines = 0;
+      quarantine_drops = 0;
+      conns_poisoned = 0;
+    }
+
+  let add a b =
+    {
+      nacks_sent = a.nacks_sent + b.nacks_sent;
+      reacks_sent = a.reacks_sent + b.reacks_sent;
+      evictions = a.evictions + b.evictions;
+      aborts_received = a.aborts_received + b.aborts_received;
+      sheds_received = a.sheds_received + b.sheds_received;
+      shed_elems = a.shed_elems + b.shed_elems;
+      sheds_refused = a.sheds_refused + b.sheds_refused;
+      overlap = Placement.add_overlap_stats a.overlap b.overlap;
+      conn_gcs = a.conn_gcs + b.conn_gcs;
+      displaced_conns = a.displaced_conns + b.displaced_conns;
+      unknown_drops = a.unknown_drops + b.unknown_drops;
+      late_drops = a.late_drops + b.late_drops;
+      anomalies = a.anomalies + b.anomalies;
+      sig_damage = a.sig_damage + b.sig_damage;
+      quarantines = a.quarantines + b.quarantines;
+      quarantine_drops = a.quarantine_drops + b.quarantine_drops;
+      conns_poisoned = a.conns_poisoned + b.conns_poisoned;
+    }
+end
+
 module Receiver = struct
   (* Placement writes straight into the application buffer at the
      connection offset, so a corrupted C.SN that stays inside the window
@@ -203,6 +267,8 @@ module Receiver = struct
     last_reack : (int, float) Hashtbl.t;
     element_delay : Netsim.Stats.t;
     tpdu_latency : Netsim.Stats.t;
+    (* the receiver fields of [Rx_stats], kept inline so a receiver
+       costs no extra record; [stats] assembles them *)
     mutable nacks_sent : int;
     mutable reacks_sent : int;
     mutable evictions : int;
@@ -850,17 +916,21 @@ module Receiver = struct
 
   let element_delay rx = rx.element_delay
   let tpdu_latency rx = rx.tpdu_latency
-  let overlap_stats rx = Placement.overlap_stats rx.placement
   let verified_elems rx = Vreassembly.received_elems rx.verified_cover
   let verifier_stats rx = Edc.Verifier.stats rx.verifier
   let verifier_in_flight rx = Edc.Verifier.in_flight rx.verifier
-  let nacks_sent rx = rx.nacks_sent
-  let reacks_sent rx = rx.reacks_sent
-  let evictions rx = rx.evictions
-  let aborts_received rx = rx.aborts_received
-  let sheds_received rx = rx.sheds_received
-  let shed_elems rx = rx.shed_elems
-  let sheds_refused rx = rx.sheds_refused
+  let stats rx =
+    {
+      (Rx_stats.zero ()) with
+      Rx_stats.nacks_sent = rx.nacks_sent;
+      reacks_sent = rx.reacks_sent;
+      evictions = rx.evictions;
+      aborts_received = rx.aborts_received;
+      sheds_received = rx.sheds_received;
+      shed_elems = rx.shed_elems;
+      sheds_refused = rx.sheds_refused;
+      overlap = Placement.overlap_stats rx.placement;
+    }
   let shed_spans rx = Vreassembly.spans rx.shed_cover
   let governor_stats rx = Governor.stats rx.governor
 
@@ -1758,10 +1828,10 @@ let run ?(seed = 0x5EED) ?(config = default_config) ?(loss = 0.0)
     final_rto = Sender.current_rto tx;
     rtt_samples = Sender.rtt_samples tx;
     max_txs_at_rtt_sample = Sender.max_txs_at_rtt_sample tx;
-    receiver_evictions = Receiver.evictions rx;
+    receiver_evictions = rx.Receiver.evictions;
     sheds_sent = Sender.sheds_sent tx;
-    sheds_received = Receiver.sheds_received rx;
-    shed_elems = Receiver.shed_elems rx;
+    sheds_received = rx.Receiver.sheds_received;
+    shed_elems = rx.Receiver.shed_elems;
     shed_spans;
     delivered;
   }

@@ -89,6 +89,78 @@ val ack_packet : conn_id:int -> t_id:int -> bytes
 (** One encoded packet carrying the ACK control chunk for a TPDU (used
     by demultiplexers to re-acknowledge closed-epoch stragglers). *)
 
+(** {1 Receive-side counters} *)
+
+module Rx_stats : sig
+  (** One counter record for the receive side: every outcome of
+      handling a chunk that an endpoint counts, counted once, in one
+      place.  A {!Receiver} counts the receiver fields ({!Receiver.stats}
+      assembles them on read); {!Multi} counts the endpoint fields and
+      sums its epoch receivers in; the conformance harness sums crash
+      incarnations and soak runs with {!add}.  Fields a layer never
+      counts stay zero there (a bare receiver has no [conn_gcs]).
+
+      The fields are mutable so an endpoint bumps its own store in
+      place — one integer increment, no allocation.  Every record a
+      [stats] function or {!add} returns is a fresh copy: mutating it
+      changes nothing else. *)
+  type t = {
+    mutable nacks_sent : int;  (** gap reports sent (0 unless [config.sack]) *)
+    mutable reacks_sent : int;
+        (** re-acknowledgements of already-verified TPDUs (their traffic
+            kept arriving — the sender evidently missed the ACK),
+            including the demultiplexer's re-ACKs of closed-epoch
+            stragglers *)
+    mutable evictions : int;
+        (** per-TPDU soft-state evictions (deadline or budget) *)
+    mutable aborts_received : int;
+        (** TPDUs evicted because the sender signalled it abandoned
+            them *)
+    mutable sheds_received : int;
+        (** shed signals honoured (the TPDU was sheddable and not yet
+            verified); forged or duplicate sheds are not counted *)
+    mutable shed_elems : int;
+        (** elements covered by honoured sheds — bytes deliberately given
+            up under the partial-reliability contract *)
+    mutable sheds_refused : int;
+        (** shed signals refused because the local classifier says the
+            named TPDU is not sheddable: a forged (or misclassified) shed
+            of Critical/Normal traffic.  Silent on the wire; the count
+            feeds the demultiplexer's anomaly accounting *)
+    overlap : Labelling.Placement.overlap_stats;
+        (** placement conflict counters under the first-verified-wins
+            policy; owned by the placement buffer, copied in when
+            [stats] is read *)
+    mutable conn_gcs : int;
+        (** whole connections reclaimed by deadline (stale-connection
+            GC) *)
+    mutable displaced_conns : int;
+        (** live connections displaced by admission pressure *)
+    mutable unknown_drops : int;  (** chunks for never-admitted connections *)
+    mutable late_drops : int;
+        (** chunks for closed epochs that were not re-acknowledgeable *)
+    mutable anomalies : int;
+        (** protocol anomalies attributed to connections, scored and
+            unscored alike *)
+    mutable sig_damage : int;
+        (** structurally valid signal chunks whose payload failed its
+            WSC-2 parity or shape check *)
+    mutable quarantines : int;  (** admissions revoked (penalty-box entries) *)
+    mutable quarantine_drops : int;
+        (** events refused because their source connection was boxed *)
+    mutable conns_poisoned : int;
+        (** connections permanently torn down by the exception
+            bulkhead *)
+  }
+
+  val zero : unit -> t
+  (** Fresh all-zero counters: an endpoint's store, or the seed of a
+      sum. *)
+
+  val add : t -> t -> t
+  (** Field-wise sum, as a fresh record. *)
+end
+
 (** {1 Receiver} *)
 
 module Receiver : sig
@@ -186,7 +258,7 @@ module Receiver : sig
 
   val abort_tpdu : t -> t_id:int -> unit
   (** Evict all partial state for [t_id] (the sender abandoned it);
-      counted in {!aborts_received} if any state existed. *)
+      counted in [aborts_received] ({!stats}) if any state existed. *)
 
   val shed_tpdu : t -> t_id:int -> first_elem:int -> elems:int -> unit
   (** The sender deliberately abandoned a sheddable TPDU (partial
@@ -215,11 +287,6 @@ module Receiver : sig
   val tpdu_latency : t -> Netsim.Stats.t
   (** Per-TPDU time from first fragment arrival to verification. *)
 
-  val overlap_stats : t -> Labelling.Placement.overlap_stats
-  (** The placement buffer's conflict counters under the
-      first-verified-wins overlap policy (see
-      {!Labelling.Placement}). *)
-
   val verified_elems : t -> int
   (** Elements covered by WSC-2-verified TPDUs so far. *)
 
@@ -238,33 +305,10 @@ module Receiver : sig
       corrupted label cannot overwrite a region another — already
       verified — TPDU owns.  0 once an undamaged transfer completes. *)
 
-  val nacks_sent : t -> int
-  (** Gap reports transmitted (0 unless [config.sack]). *)
-
-  val reacks_sent : t -> int
-  (** Re-acknowledgements of already-verified TPDUs (sent when their
-      traffic keeps arriving — the sender evidently missed the ACK). *)
-
-  val evictions : t -> int
-  (** Soft-state evictions (deadline or budget) applied to this
-      receiver. *)
-
-  val aborts_received : t -> int
-  (** TPDUs evicted because the sender signalled it abandoned them. *)
-
-  val sheds_received : t -> int
-  (** Shed signals honoured (the TPDU was sheddable and not yet
-      verified); forged or duplicate sheds are not counted. *)
-
-  val shed_elems : t -> int
-  (** Elements covered by honoured sheds — bytes deliberately given up
-      under the partial-reliability contract. *)
-
-  val sheds_refused : t -> int
-  (** Shed signals refused because the local classifier says the named
-      TPDU is not sheddable: a forged (or misclassified) shed of
-      Critical/Normal traffic.  Refusal is silent on the wire; the
-      count feeds the demultiplexer's anomaly accounting. *)
+  val stats : t -> Rx_stats.t
+  (** This receiver's counters, with its placement buffer's overlap
+      counters (see {!Labelling.Placement}), as a fresh record built on
+      each call; the endpoint fields are zero. *)
 
   val shed_spans : t -> (int * int) list
   (** The honoured shed cover as [(first_elem, elems)] runs in

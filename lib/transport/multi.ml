@@ -1,5 +1,6 @@
 open Labelling
 module R = Chunk_transport.Receiver
+module S = Chunk_transport.Rx_stats
 
 type epoch_report = {
   delivered : bytes;
@@ -32,14 +33,10 @@ type conn = {
          epoch *)
   mutable hist : archived list;  (* newest first *)
   mutable last_touch : float;
-  mutable aborts_acc : int;
-  mutable reacks_acc : int;
-  mutable sheds_acc : int;
-  mutable shed_elems_acc : int;
-  mutable overlap_acc : Placement.overlap_stats;
-      (* conflict counters of archived epochs; live ones are read
-         directly off their placement buffers *)
-  mutable sheds_refused_acc : int;
+  mutable acc : S.t;
+      (* counters of archived epochs, replaced by their sum at
+         [archive] (never bumped in place); the live epoch's are read
+         off its receiver *)
   (* {2 Containment} — anomaly scoring and quarantine (DESIGN §10).
      Only anomalies this connection {e provably authored} feed the
      score: explicit re-establishment churn (each such Open names a
@@ -59,24 +56,9 @@ type conn = {
   mutable poisoned : bool;  (* bulkhead teardown: permanent *)
 }
 
-let zero_overlap =
-  {
-    Placement.os_conflicts_seen = 0;
-    os_conflicts_rejected = 0;
-    os_quarantined = 0;
-    os_verified_overwrites = 0;
-  }
-
-let add_overlap a b =
-  {
-    Placement.os_conflicts_seen =
-      a.Placement.os_conflicts_seen + b.Placement.os_conflicts_seen;
-    os_conflicts_rejected =
-      a.Placement.os_conflicts_rejected + b.Placement.os_conflicts_rejected;
-    os_quarantined = a.Placement.os_quarantined + b.Placement.os_quarantined;
-    os_verified_overwrites =
-      a.Placement.os_verified_overwrites + b.Placement.os_verified_overwrites;
-  }
+(* The [acc] of a connection with no archived epoch, shared: [acc] is
+   only ever replaced, so a fresh connection costs no counter record. *)
+let no_counts = S.zero ()
 
 (* An L2 (connection-level) flow-cache entry pins the connection record
    and the exact receiver incarnation it was populated for.  Validity is
@@ -109,17 +91,10 @@ type t = {
   anomaly_budget : int;  (* quarantine trip threshold; 0 disables *)
   quarantine_base : float;  (* first penalty-box duration *)
   anomaly_decay : float;  (* quiet time that forgives the score *)
-  mutable evictions : int;
-  mutable conn_gcs : int;
-  mutable displaced : int;
-  mutable unknown_drops : int;
-  mutable late_drops : int;
-  mutable reacks_multi : int;
-  mutable anomalies_total : int;
-  mutable sig_damage : int;  (* parity-damaged signal chunks dropped *)
-  mutable quarantines : int;  (* admissions revoked, all connections *)
-  mutable quarantine_drops : int;  (* events refused while boxed *)
-  mutable conns_poisoned : int;
+  counts : S.t;
+      (* the endpoint's own counters (GC, displacement, drops,
+         containment, closed-epoch re-ACKs); per-epoch ones live in the
+         receivers *)
 }
 
 let emit m ev = match m.persist with Some f -> f ev | None -> ()
@@ -163,11 +138,7 @@ let archive m c =
   | None -> ()
   | Some rx ->
       R.quiesce rx;
-      c.aborts_acc <- c.aborts_acc + R.aborts_received rx;
-      c.reacks_acc <- c.reacks_acc + R.reacks_sent rx;
-      c.sheds_acc <- c.sheds_acc + R.sheds_received rx;
-      c.shed_elems_acc <- c.shed_elems_acc + R.shed_elems rx;
-      c.overlap_acc <- add_overlap c.overlap_acc (R.overlap_stats rx);
+      c.acc <- S.add c.acc (R.stats rx);
       (* An epoch in which no TPDU ever verified delivered nothing to the
          application (and acknowledged nothing to the sender), so from
          both ends' point of view it never happened: drop it rather than
@@ -184,7 +155,6 @@ let archive m c =
       (match id with
       | Some k when k > c.open_hwm -> c.open_hwm <- k
       | Some _ | None -> ());
-      c.sheds_refused_acc <- c.sheds_refused_acc + R.sheds_refused rx;
       if R.epoch_passes rx > 0 then begin
         let delivered = R.contents rx in
         (* archived buffers are outside the governor's account (nothing
@@ -231,7 +201,7 @@ let close_conn m c =
 let quarantine_active m c = c.poisoned || c.quarantined_until > now m
 
 let quarantine_drop m =
-  m.quarantine_drops <- m.quarantine_drops + 1;
+  m.counts.quarantine_drops <- m.counts.quarantine_drops + 1;
   if Obs.enabled then Obs.Metrics.incr m_quarantine_drops
 
 let enter_quarantine m c =
@@ -245,7 +215,7 @@ let enter_quarantine m c =
   in
   c.quarantined_until <- now m +. dur;
   c.anomaly_score <- 0;
-  m.quarantines <- m.quarantines + 1;
+  m.counts.quarantines <- m.counts.quarantines + 1;
   (* the live epoch's state is reclaimed, and the L2 row is dropped so
      the fast path cannot keep serving a boxed connection (the physical
      [rx == fc_rx] probe would also catch it — the live receiver is
@@ -267,7 +237,7 @@ let enter_quarantine m c =
    are spread over the transfer never accumulate toward the budget. *)
 let note_scored m c ~weight =
   c.anomalies <- c.anomalies + 1;
-  m.anomalies_total <- m.anomalies_total + 1;
+  m.counts.anomalies <- m.counts.anomalies + 1;
   if Obs.enabled then Obs.Metrics.incr m_anomalies;
   if m.anomaly_budget > 0 && not (quarantine_active m c) then begin
     let t = now m in
@@ -282,7 +252,7 @@ let note_scored m c ~weight =
    it must never push the connection toward the penalty box. *)
 let note_unscored m c =
   c.anomalies <- c.anomalies + 1;
-  m.anomalies_total <- m.anomalies_total + 1;
+  m.counts.anomalies <- m.counts.anomalies + 1;
   if Obs.enabled then Obs.Metrics.incr m_anomalies
 
 (* Scored weights: re-establishment churn is the byzantine signature
@@ -305,7 +275,7 @@ let poison m ~conn_id =
   | Some c ->
       if not c.poisoned then begin
         c.poisoned <- true;
-        m.conns_poisoned <- m.conns_poisoned + 1;
+        m.counts.conns_poisoned <- m.counts.conns_poisoned + 1;
         Flowcache.invalidate m.l2 ~k1:conn_id ~k2:0;
         close_conn m c;
         if Obs.enabled then begin
@@ -358,17 +328,7 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
          episode without spanning two unrelated ones *)
       quarantine_base = Float.max 0.25 (4.0 *. config.rto);
       anomaly_decay = Float.max 1.0 (8.0 *. config.rto);
-      evictions = 0;
-      conn_gcs = 0;
-      displaced = 0;
-      unknown_drops = 0;
-      late_drops = 0;
-      reacks_multi = 0;
-      anomalies_total = 0;
-      sig_damage = 0;
-      quarantines = 0;
-      quarantine_drops = 0;
-      conns_poisoned = 0;
+      counts = S.zero ();
     }
   in
   Governor.set_on_evict m.governor (fun key ->
@@ -377,14 +337,12 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
       | Some c ->
           if key.Governor.tpdu >= 0 then (
             match c.live with
-            | Some rx ->
-                R.evict rx ~t_id:key.Governor.tpdu;
-                m.evictions <- m.evictions + 1
+            | Some rx -> R.evict rx ~t_id:key.Governor.tpdu
             | None -> ())
           else begin
             (* the connection itself went stale (or was squeezed out by
                budget pressure): reclaim everything it holds *)
-            m.conn_gcs <- m.conn_gcs + 1;
+            m.counts.conn_gcs <- m.counts.conn_gcs + 1;
             if Obs.enabled then Obs.Metrics.incr m_conn_gcs;
             close_conn m c
           end);
@@ -438,7 +396,7 @@ let ensure_capacity m =
   if live_count m >= m.max_conns then
     match stalest_live m with
     | Some victim ->
-        m.displaced <- m.displaced + 1;
+        m.counts.displaced_conns <- m.counts.displaced_conns + 1;
         if Obs.enabled then Obs.Metrics.incr m_displaced;
         close_conn m victim
     | None -> ()
@@ -468,12 +426,7 @@ let handle_open m cid ~first_csn =
           open_hwm = -1;
           hist = [];
           last_touch = now m;
-          aborts_acc = 0;
-          reacks_acc = 0;
-          sheds_acc = 0;
-          shed_elems_acc = 0;
-          overlap_acc = zero_overlap;
-          sheds_refused_acc = 0;
+          acc = no_counts;
           epochs_started = 0;
           hist_bytes = 0;
           anomalies = 0;
@@ -569,7 +522,7 @@ let re_ack_closed m c t_id =
   in
   if due then begin
     Hashtbl.replace c.last_reack t_id t;
-    m.reacks_multi <- m.reacks_multi + 1;
+    m.counts.reacks_sent <- m.counts.reacks_sent + 1;
     m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)
   end
 
@@ -577,7 +530,7 @@ let route m chunk =
   let cid = chunk.Chunk.header.Header.c.Ftuple.id in
   match Hashtbl.find_opt m.conns cid with
   | None ->
-      m.unknown_drops <- m.unknown_drops + 1;
+      m.counts.unknown_drops <- m.counts.unknown_drops + 1;
       if Obs.enabled then Obs.Metrics.incr m_unknown
   | Some c when quarantine_active m c -> quarantine_drop m
   | Some c -> (
@@ -621,7 +574,7 @@ let route m chunk =
           let t_id = chunk.Chunk.header.Header.t.Ftuple.id in
           if Hashtbl.mem c.acked t_id then re_ack_closed m c t_id
           else begin
-            m.late_drops <- m.late_drops + 1;
+            m.counts.late_drops <- m.counts.late_drops + 1;
             if Obs.enabled then Obs.Metrics.incr m_late;
             note_scored m c ~weight:w_late
           end)
@@ -651,13 +604,14 @@ let on_chunk m chunk =
               match found with
               | Some ({ live = Some rx; _ } as c) ->
                   c.last_touch <- now m;
-                  let refused = R.sheds_refused rx in
+                  let refused = (R.stats rx).S.sheds_refused in
                   R.shed_tpdu rx ~t_id ~first_elem ~elems;
                   (* a refused shed named a TPDU this connection's
                      classifier protects: forged (or badly
                      misclassified).  Unscored — the signal names its
                      victim, not its author. *)
-                  if R.sheds_refused rx > refused then note_unscored m c
+                  if (R.stats rx).S.sheds_refused > refused then
+                    note_unscored m c
               | Some c when Hashtbl.mem c.acked t_id ->
                   (* shed signal straggling behind the epoch close while
                      its ACK was lost: re-acknowledge so the sender stops
@@ -668,7 +622,7 @@ let on_chunk m chunk =
       (* a structurally valid signal chunk whose payload failed its
          WSC-2 parity (or shape) check: silently dropped, but counted
          — corruption in flight and tampering look identical here *)
-      m.sig_damage <- m.sig_damage + 1;
+      m.counts.sig_damage <- m.counts.sig_damage + 1;
       (match Hashtbl.find_opt m.conns chunk.Chunk.header.Header.c.Ftuple.id with
       | Some c -> note_unscored m c
       | None -> ())
@@ -788,39 +742,16 @@ let sum_live m f =
 
 let live_in_flight m = sum_live m R.verifier_in_flight
 let live_stashed m = sum_live m R.stashed_tpdus
-let evictions m = m.evictions
-let conn_gcs m = m.conn_gcs
-let displaced_conns m = m.displaced
 
-let aborts_received m =
-  Hashtbl.fold (fun _ c acc -> acc + c.aborts_acc) m.conns
-    (sum_live m R.aborts_received)
-
-let sheds_received m =
-  Hashtbl.fold (fun _ c acc -> acc + c.sheds_acc) m.conns
-    (sum_live m R.sheds_received)
-
-let shed_elems m =
-  Hashtbl.fold (fun _ c acc -> acc + c.shed_elems_acc) m.conns
-    (sum_live m R.shed_elems)
-
-let reacks_sent m =
-  m.reacks_multi
-  + Hashtbl.fold (fun _ c acc -> acc + c.reacks_acc) m.conns
-      (sum_live m R.reacks_sent)
-
-let unknown_drops m = m.unknown_drops
-let late_drops m = m.late_drops
-
-let sheds_refused m =
-  Hashtbl.fold (fun _ c acc -> acc + c.sheds_refused_acc) m.conns
-    (sum_live m R.sheds_refused)
-
-let anomalies m = m.anomalies_total
-let sig_damage m = m.sig_damage
-let quarantines m = m.quarantines
-let quarantine_drops m = m.quarantine_drops
-let conns_poisoned m = m.conns_poisoned
+(* The endpoint's own counts plus, for every connection, its archived
+   epochs' sum and its live epoch's receiver. *)
+let stats m =
+  S.add m.counts
+    (Hashtbl.fold
+       (fun _ c acc ->
+         let acc = S.add acc c.acc in
+         match c.live with Some rx -> S.add acc (R.stats rx) | None -> acc)
+       m.conns (S.zero ()))
 
 type conn_stats = {
   cs_epochs : int;
@@ -843,15 +774,6 @@ let conn_stats m ~conn_id =
         cs_poisoned = c.poisoned;
       })
     (Hashtbl.find_opt m.conns conn_id)
-
-let overlap_stats m =
-  Hashtbl.fold
-    (fun _ c acc ->
-      let acc = add_overlap acc c.overlap_acc in
-      match c.live with
-      | Some rx -> add_overlap acc (R.overlap_stats rx)
-      | None -> acc)
-    m.conns zero_overlap
 
 (* {1 Crash recovery} *)
 
@@ -920,12 +842,7 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
                   { a_delivered = d; a_complete = cm; a_open_csn = k })
                 img.Persist.ci_hist;
             last_touch = now m;
-            aborts_acc = 0;
-            reacks_acc = 0;
-            sheds_acc = 0;
-            shed_elems_acc = 0;
-            overlap_acc = zero_overlap;
-            sheds_refused_acc = 0;
+            acc = no_counts;
             (* epoch and state accounting re-derived from the image, so
                the isolation-budget bound spans the crash *)
             epochs_started =
@@ -977,7 +894,7 @@ let reannounce m =
              |> List.sort Int.compare
              |> List.iter (fun t_id ->
                     Hashtbl.replace c.last_reack t_id (now m);
-                    m.reacks_multi <- m.reacks_multi + 1;
+                    m.counts.reacks_sent <- m.counts.reacks_sent + 1;
                     m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)))
 
 (* Crash the endpoint: release all soft state so the governor's sweep

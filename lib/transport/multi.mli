@@ -147,64 +147,18 @@ val live_in_flight : t -> int
 val live_stashed : t -> int
 (** Placement stashes held across all live epochs (quiescence probe). *)
 
-val evictions : t -> int
-(** Per-TPDU governor evictions routed to receivers. *)
-
-val conn_gcs : t -> int
-(** Whole connections reclaimed by deadline (stale-connection GC). *)
-
-val displaced_conns : t -> int
-(** Live connections displaced by admission pressure (cap or budget). *)
-
-val aborts_received : t -> int
-(** Abort_tpdu signals honoured (sender give-ups). *)
-
-val sheds_received : t -> int
-(** Shed_tpdu signals honoured across every epoch of every connection
-    (partial reliability: the sender deliberately abandoned a sheddable
-    TPDU under congestion and the receiver's own classifier agreed). *)
-
-val shed_elems : t -> int
-(** Elements covered by honoured sheds across every epoch — bytes
-    deliberately given up under the partial-reliability contract. *)
-
-val reacks_sent : t -> int
-(** ACKs re-sent for closed-epoch stragglers (a duplicate of a TPDU
-    already delivered must still be acknowledged or the sender times
-    out). *)
-
-val unknown_drops : t -> int
-(** Chunks for connections never admitted (flood traffic). *)
-
-val late_drops : t -> int
-(** Chunks for closed epochs that were not re-acknowledgeable. *)
+val stats : t -> Chunk_transport.Rx_stats.t
+(** Every receive-side counter of the endpoint, as a fresh record: its
+    own counts (connection GC, displacement, unknown and late drops,
+    closed-epoch re-ACKs, containment) plus every epoch receiver's of
+    every connection, archived and live — NACKs, re-ACKs, evictions,
+    aborts, sheds, refused sheds and overlap conflicts.  Archived
+    epochs are summed into their connection when they close, so no
+    count is lost to epoch turnover; counters never decrease.  A crash
+    ({!teardown}) keeps them readable; a {!restore}d endpoint starts
+    from zero. *)
 
 (** {1 Containment} *)
-
-val sheds_refused : t -> int
-(** Shed signals refused across every epoch of every connection — the
-    named TPDU was not sheddable under the local classifier (forged or
-    misclassified sheds; see
-    {!Chunk_transport.Receiver.sheds_refused}). *)
-
-val anomalies : t -> int
-(** Protocol anomalies observed across all connections, scored and
-    unscored alike: re-establishment churn, late unledgered traffic,
-    stale Opens, refused sheds, parity-damaged signals. *)
-
-val sig_damage : t -> int
-(** Structurally valid signal chunks whose payload failed its WSC-2
-    parity or shape check — dropped silently (corruption and tampering
-    are indistinguishable here). *)
-
-val quarantines : t -> int
-(** Admissions revoked (penalty-box entries) across all connections. *)
-
-val quarantine_drops : t -> int
-(** Events refused because their source connection was boxed. *)
-
-val conns_poisoned : t -> int
-(** Connections permanently torn down by the exception bulkhead. *)
 
 val poison : t -> conn_id:int -> unit
 (** Tear the connection down (reclaiming its live epoch's state) and
@@ -225,11 +179,6 @@ type conn_stats = {
     oracle row bounds for byzantine connections. *)
 
 val conn_stats : t -> conn_id:int -> conn_stats option
-
-val overlap_stats : t -> Labelling.Placement.overlap_stats
-(** Overlap-conflict counters summed over every epoch of every
-    connection, live and archived (see {!Labelling.Placement} for the
-    first-verified-wins policy they account). *)
 
 (** {1 Crash recovery} *)
 

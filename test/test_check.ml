@@ -50,8 +50,8 @@ let test_replay_determinism () =
     b.Check.Driver.retransmissions;
   Alcotest.(check int) "same packets" a.Check.Driver.packets_sent
     b.Check.Driver.packets_sent;
-  Alcotest.(check int) "same nacks" a.Check.Driver.nacks_sent
-    b.Check.Driver.nacks_sent;
+  Alcotest.(check int) "same nacks" a.Check.Driver.rx_stats.nacks_sent
+    b.Check.Driver.rx_stats.nacks_sent;
   Alcotest.(check (float 0.0)) "same sim time" a.Check.Driver.sim_time
     b.Check.Driver.sim_time;
   Alcotest.check Util.bytes_testable "same delivery" a.Check.Driver.delivered
@@ -82,9 +82,9 @@ let test_overlap_hostile_soak () =
   Alcotest.(check bool) "adversary fired" true
     (report.Check.Soak.ov_injected > 0);
   Alcotest.(check bool) "conflicts provoked" true
-    (report.Check.Soak.ov_conflicts_seen > 0);
+    (report.Check.Soak.rx.overlap.os_conflicts_seen > 0);
   Alcotest.(check bool) "conflicts rejected by first-verified-wins" true
-    (report.Check.Soak.ov_conflicts_rejected > 0)
+    (report.Check.Soak.rx.overlap.os_conflicts_rejected > 0)
 
 let test_overlap_clobber_caught () =
   (* a validly-sealed forged TPDU clobbers the first data chunk's range:
@@ -109,7 +109,7 @@ let test_overlap_clobber_caught () =
       let s = f.Check.Soak.shrunk.Check.Shrink.schedule in
       let o = Check.Driver.run ~mutation:Check.Driver.Overlap_clobber s in
       Alcotest.(check bool) "conflict preserved in shrunk replay" true
-        (o.Check.Driver.overlap_conflicts_rejected > 0);
+        (o.Check.Driver.rx_stats.overlap.os_conflicts_rejected > 0);
       Alcotest.(check bool) "shrunk replay still violates" true
         (Check.Oracle.check ~schedule:s
            ~model:(Check.Model.of_schedule s)
@@ -127,9 +127,9 @@ let test_byzantine_hostile_soak () =
   Alcotest.(check bool) "flap cycles ran" true
     (report.Check.Soak.bz_flaps > 0);
   Alcotest.(check bool) "quarantine fired" true
-    (report.Check.Soak.bz_quarantines > 0);
+    (report.Check.Soak.rx.quarantines > 0);
   Alcotest.(check bool) "boxed connections refused events" true
-    (report.Check.Soak.bz_quarantine_drops > 0);
+    (report.Check.Soak.rx.quarantine_drops > 0);
   Alcotest.(check int) "no honest connection ever boxed" 0
     report.Check.Soak.bz_honest_quarantined
 
@@ -156,7 +156,7 @@ let test_byz_clobber_caught () =
         (s.Check.Schedule.byz <> None);
       let o = Check.Driver.run ~mutation:Check.Driver.Byz_clobber s in
       Alcotest.(check int) "defense really was off in the replay" 0
-        o.Check.Driver.quarantines;
+        o.Check.Driver.rx_stats.quarantines;
       Alcotest.(check bool) "shrunk replay still violates" true
         (List.exists
            (fun (v : Check.Oracle.violation) ->
@@ -233,6 +233,45 @@ let test_replay_rejects_invalid_schedule () =
   Alcotest.(check bool) "unknown-field spec rejected" true
     (Check.Schedule.of_string with_bogus = None)
 
+let m_nacks = Obs.Metrics.counter "transport_nacks_total"
+
+let test_multi_nacks_counted () =
+  (* multi-connection runs must report the NACKs their epoch receivers
+     sent, or the sack-off oracle row is blind there: the observation
+     must agree with the process-wide counter over the same run,
+     crashes included.  Cache-off, adversary-free schedules make
+     [Driver.run] one run (no coherence or blast-radius re-run also
+     feeding the counter). *)
+  let total =
+    List.fold_left
+      (fun total (profile, seed) ->
+        let s = Check.Schedule.generate ~profile ~seed in
+        Alcotest.(check bool) "multi, sack, cache-off, no byzantine peer" true
+          (Check.Schedule.multi_mode s && s.Check.Schedule.sack
+          && (not s.Check.Schedule.fastpath)
+          && s.Check.Schedule.byz = None);
+        let n0 = Obs.Metrics.value m_nacks in
+        let o = Check.Driver.run s in
+        let nacks = o.Check.Driver.rx_stats.nacks_sent in
+        if Obs.enabled then
+          Alcotest.(check int)
+            (Printf.sprintf "%s seed %d: observed NACKs = NACKs sent"
+               (Check.Schedule.profile_name profile)
+               seed)
+            (Obs.Metrics.value m_nacks - n0)
+            nacks;
+        total + nacks)
+      0
+      Check.Schedule.
+        [
+          (Hostile_flood, 5);
+          (Hostile_flood, 12);
+          (Crash_flood, 4);
+          (Crash_flood, 5);
+        ]
+  in
+  Alcotest.(check bool) "some schedule sent NACKs" true (total > 0)
+
 let test_mutation_caught () =
   (* inject a bug (flip a byte of every 2nd packet at the receiver door)
      and require the oracle to catch it AND the shrinker to keep a
@@ -285,4 +324,6 @@ let suite =
       `Quick test_overlap_clobber_caught;
     Alcotest.test_case "replay rejects parseable-but-invalid schedules"
       `Quick test_replay_rejects_invalid_schedule;
+    Alcotest.test_case "multi-connection runs report their NACKs" `Quick
+      test_multi_nacks_counted;
   ]

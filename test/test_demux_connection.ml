@@ -150,12 +150,13 @@ type rig = {
   senders : (int, CT.Sender.t) Hashtbl.t;
 }
 
-let make_rig ?(quota_elems = 1024) ?anomaly_budget () =
+let make_rig ?(config = multi_config) ?(quota_elems = 1024) ?anomaly_budget ()
+    =
   let engine = Netsim.Engine.create ~seed:19 () in
   let senders = Hashtbl.create 4 in
   let multi = ref None in
   let m =
-    Transport.Multi.create engine ~config:multi_config ~quota_elems
+    Transport.Multi.create engine ~config ~quota_elems
       ~max_conns:8 ?anomaly_budget
       ~send_ack:(fun b ->
         Netsim.Engine.schedule engine ~delay:1e-4 (fun () ->
@@ -270,7 +271,7 @@ let test_multi_quarantine_trips_and_releases () =
   send_signal rig ~conn:4 (Connection.Open { first_csn = 200_000 });
   Netsim.Engine.run ~until:(t0 +. 0.01) rig.engine;
   Alcotest.(check int) "churn tripped one quarantine" 1
-    (Transport.Multi.quarantines rig.multi);
+    (Transport.Multi.stats rig.multi).quarantines;
   (match Transport.Multi.conn_stats rig.multi ~conn_id:4 with
   | None -> Alcotest.fail "conn 4 unknown"
   | Some cs ->
@@ -281,12 +282,12 @@ let test_multi_quarantine_trips_and_releases () =
       Alcotest.(check bool) "not poisoned" false
         cs.Transport.Multi.cs_poisoned);
   (* while boxed, everything from the connection is refused *)
-  let drops0 = Transport.Multi.quarantine_drops rig.multi in
+  let drops0 = (Transport.Multi.stats rig.multi).quarantine_drops in
   let epochs0 = List.length (Transport.Multi.epochs rig.multi ~conn_id:4) in
   send_signal rig ~conn:4 (Connection.Open { first_csn = 300_000 });
   Netsim.Engine.run ~until:(t0 +. 0.02) rig.engine;
   Alcotest.(check bool) "boxed Open refused" true
-    (Transport.Multi.quarantine_drops rig.multi > drops0);
+    ((Transport.Multi.stats rig.multi).quarantine_drops > drops0);
   Alcotest.(check int) "refused Open made no epoch" epochs0
     (List.length (Transport.Multi.epochs rig.multi ~conn_id:4));
   (* after the penalty window, the connection earns its way back *)
@@ -298,7 +299,7 @@ let test_multi_quarantine_trips_and_releases () =
   Alcotest.(check bool) "re-admitted transfer completes" true
     (CT.Sender.finished tx1);
   Alcotest.(check int) "no second quarantine" 1
-    (Transport.Multi.quarantines rig.multi)
+    (Transport.Multi.stats rig.multi).quarantines
 
 let test_multi_quarantine_survives_restore () =
   (* the penalty box is part of the crash image (persist v2): a boxed
@@ -315,7 +316,7 @@ let test_multi_quarantine_survives_restore () =
   send_signal rig ~conn:6 (Connection.Open { first_csn = 200_000 });
   Netsim.Engine.run rig.engine;
   Alcotest.(check int) "boxed before the crash" 1
-    (Transport.Multi.quarantines rig.multi);
+    (Transport.Multi.stats rig.multi).quarantines;
   let module P = Transport.Persist in
   let encoded = P.encode_endpoint (P.Multi (Transport.Multi.export rig.multi)) in
   Transport.Multi.teardown rig.multi;
@@ -338,7 +339,7 @@ let test_multi_quarantine_survives_restore () =
       Alcotest.(check int) "quarantine count restored" 1
         cs.Transport.Multi.cs_quarantines);
   (* and the restored box still refuses events *)
-  let drops0 = Transport.Multi.quarantine_drops m1 in
+  let drops0 = (Transport.Multi.stats m1).quarantine_drops in
   let epochs0 = List.length (Transport.Multi.epochs m1 ~conn_id:6) in
   (match
      Wire.encode_packet
@@ -347,9 +348,177 @@ let test_multi_quarantine_survives_restore () =
   | Ok b -> Transport.Multi.ingest m1 b
   | Error e -> Alcotest.fail e);
   Alcotest.(check bool) "restored box refuses the Open" true
-    (Transport.Multi.quarantine_drops m1 > drops0);
+    ((Transport.Multi.stats m1).quarantine_drops > drops0);
   Alcotest.(check int) "refused Open made no epoch" epochs0
     (List.length (Transport.Multi.epochs m1 ~conn_id:6))
+
+(* Every counter of [Multi.stats], by name.  The record pattern names
+   each field, so a counter added to [Rx_stats] fails to compile here
+   until the turnover test below watches it too. *)
+let stat_fields (s : CT.Rx_stats.t) =
+  let {
+    CT.Rx_stats.nacks_sent;
+    reacks_sent;
+    evictions;
+    aborts_received;
+    sheds_received;
+    shed_elems;
+    sheds_refused;
+    overlap =
+      {
+        Placement.os_conflicts_seen;
+        os_conflicts_rejected;
+        os_quarantined;
+        os_verified_overwrites;
+      };
+    conn_gcs;
+    displaced_conns;
+    unknown_drops;
+    late_drops;
+    anomalies;
+    sig_damage;
+    quarantines;
+    quarantine_drops;
+    conns_poisoned;
+  } =
+    s
+  in
+  [
+    ("nacks_sent", nacks_sent);
+    ("reacks_sent", reacks_sent);
+    ("evictions", evictions);
+    ("aborts_received", aborts_received);
+    ("sheds_received", sheds_received);
+    ("shed_elems", shed_elems);
+    ("sheds_refused", sheds_refused);
+    ("os_conflicts_seen", os_conflicts_seen);
+    ("os_conflicts_rejected", os_conflicts_rejected);
+    ("os_quarantined", os_quarantined);
+    ("os_verified_overwrites", os_verified_overwrites);
+    ("conn_gcs", conn_gcs);
+    ("displaced_conns", displaced_conns);
+    ("unknown_drops", unknown_drops);
+    ("late_drops", late_drops);
+    ("anomalies", anomalies);
+    ("sig_damage", sig_damage);
+    ("quarantines", quarantines);
+    ("quarantine_drops", quarantine_drops);
+    ("conns_poisoned", conns_poisoned);
+  ]
+
+let test_multi_counts_survive_turnover () =
+  (* One connection through traffic, Close, reopen, quarantine and a
+     crash teardown.  Per-epoch counts move from the live receiver into
+     the connection's archive sum at each epoch end, so a field the
+     archive forgot to fold would drop back at that step; every field
+     must instead be non-decreasing across every step. *)
+  let config =
+    { multi_config with CT.sack = true; nack_delay = 0.01; state_ttl = 0.1 }
+  in
+  let rig = make_rig ~config ~anomaly_budget:8 () in
+  let snapshots = ref [] in
+  let step name =
+    snapshots := (name, Transport.Multi.stats rig.multi) :: !snapshots
+  in
+  let inject chunk =
+    match Wire.encode_packet [ chunk ] with
+    | Ok b -> to_multi rig b
+    | Error e -> Alcotest.fail e
+  in
+  (* traffic: every 4th packet lost on first sight (NACKs), every 3rd
+     echoed late (re-ACKs of verified TPDUs) *)
+  let sent = ref 0 in
+  let lossy b =
+    incr sent;
+    if !sent mod 4 <> 0 then to_multi rig b;
+    if !sent mod 3 = 0 then
+      Netsim.Engine.schedule rig.engine ~delay:0.03 (fun () -> to_multi rig b)
+  in
+  let d0 = Util.deterministic_bytes 4000 in
+  let tx0 =
+    CT.Sender.create rig.engine
+      { config with CT.conn_id = 4 }
+      ~announce_open:true ~send:lossy ~data:d0 ()
+  in
+  Hashtbl.replace rig.senders 4 tx0;
+  CT.Sender.start tx0;
+  (* a TPDU fragment whose sender never completes it: its soft state
+     idles past the TTL and is evicted, while the transfer keeps the
+     connection itself fresh *)
+  let stray_c = Ftuple.v ~id:4 ~sn:1000 ()
+  and stray_t = Ftuple.v ~id:90_000 ~sn:0 () in
+  Netsim.Engine.schedule rig.engine ~delay:1e-3 (fun () ->
+      inject
+        (Util.ok_or_fail
+           (Chunk.data ~size:4 ~c:stray_c ~t:stray_t ~x:stray_t
+              (Bytes.create 8))));
+  (* and traffic for a connection never admitted *)
+  let unknown = Ftuple.v ~id:77 ~sn:0 () in
+  inject
+    (Util.ok_or_fail
+       (Chunk.data ~size:4 ~c:unknown ~t:unknown ~x:unknown (Bytes.create 8)));
+  (* step by short slices: a full drain would idle the connection past
+     its TTL, and the deadline GC would archive it before the Close *)
+  let run_for dt =
+    let until = Netsim.Engine.now rig.engine +. dt in
+    Netsim.Engine.schedule rig.engine ~delay:dt ignore;
+    Netsim.Engine.run ~until rig.engine
+  in
+  let rec finish tx =
+    if Netsim.Engine.now rig.engine > 5.0 then Alcotest.fail "transfer stuck";
+    if not (CT.Sender.finished tx) then begin
+      run_for 0.005;
+      finish tx
+    end
+  in
+  finish tx0;
+  run_for 0.06;
+  Alcotest.(check int) "epoch 0 still live" 1
+    (Transport.Multi.live_conns rig.multi);
+  step "traffic";
+  send_signal rig ~conn:4 Connection.Close;
+  run_for 0.005;
+  Alcotest.(check int) "closed" 0 (Transport.Multi.live_conns rig.multi);
+  step "close";
+  finish (start_transfer rig ~conn:4 ~epoch:1 (Util.deterministic_bytes 1500));
+  step "reopen";
+  (* one more fresh Open is churn enough to exhaust the budget of 8;
+     the boxed connection then refuses its own traffic *)
+  send_signal rig ~conn:4 (Connection.Open { first_csn = 200_000 });
+  run_for 0.005;
+  send_signal rig ~conn:4 (Connection.Open { first_csn = 300_000 });
+  run_for 0.005;
+  step "quarantine";
+  Transport.Multi.teardown rig.multi;
+  step "teardown";
+  let steps = List.rev !snapshots in
+  ignore
+    (List.fold_left
+       (fun (prev_name, prev) (name, s) ->
+         List.iter2
+           (fun (field, before) (_, after) ->
+             if after < before then
+               Alcotest.failf "%s fell from %d to %d at %s (after %s)" field
+                 before after name prev_name)
+           (stat_fields prev) (stat_fields s);
+         (name, s))
+       (List.hd steps) (List.tl steps));
+  let final = snd (List.hd !snapshots) in
+  List.iter
+    (fun field ->
+      Alcotest.(check bool) (field ^ " exercised") true
+        (List.assoc field (stat_fields final) > 0))
+    [
+      "nacks_sent"; "reacks_sent"; "evictions"; "unknown_drops";
+      "anomalies"; "quarantines"; "quarantine_drops";
+    ];
+  (* every per-TPDU eviction the governor fired reached a receiver; the
+     rest were whole-connection reclaims *)
+  let gov = Transport.Multi.governor_stats rig.multi in
+  Alcotest.(check int) "evictions = governor eviction callbacks"
+    (gov.Transport.Governor.evictions_deadline
+    + gov.Transport.Governor.evictions_budget)
+    (final.CT.Rx_stats.evictions + final.CT.Rx_stats.conn_gcs)
 
 let test_multi_abort_recovers () =
   (* a forged Abort_tpdu for an in-flight TPDU evicts its partial state;
@@ -420,4 +589,6 @@ let suite =
       test_multi_quarantine_trips_and_releases;
     Alcotest.test_case "multi: quarantine survives crash restore" `Quick
       test_multi_quarantine_survives_restore;
+    Alcotest.test_case "multi: counts survive epoch turnover" `Quick
+      test_multi_counts_survive_turnover;
   ]

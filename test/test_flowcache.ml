@@ -478,7 +478,7 @@ let prop_batch_buffer_ownership
       List.rev !acks,
       Obs.Metrics.value passed - p0,
       Obs.Metrics.value failed - f0,
-      Transport.Multi.overlap_stats m )
+      (Transport.Multi.stats m).overlap )
   in
   let m_a, acks_a, pass_a, fail_a, os_a = run ~scribble:false in
   let m_b, acks_b, pass_b, fail_b, os_b = run ~scribble:true in
@@ -532,9 +532,9 @@ let test_batch_spanning_quarantine () =
   Alcotest.(check bool) "fast path identical to cache-off" true
     (epochs_equal m_slow m_fast);
   Alcotest.(check int) "reopen churn tripped the box" 1
-    (Transport.Multi.quarantines m_fast);
+    (Transport.Multi.stats m_fast).quarantines;
   Alcotest.(check bool) "boxed packets refused" true
-    (Transport.Multi.quarantine_drops m_fast > 0);
+    ((Transport.Multi.stats m_fast).quarantine_drops > 0);
   (match Transport.Multi.conn_stats m_fast ~conn_id:5 with
   | None -> Alcotest.fail "conn 5 unknown"
   | Some cs ->
@@ -600,9 +600,9 @@ let test_bulkhead_covers_cache_hits () =
   Array.iter (Transport.Multi.ingest m_off) packets;
   Transport.Multi.ingest_batch m_on packets;
   Alcotest.(check int) "both connections poisoned with the cache off" 2
-    (Transport.Multi.conns_poisoned m_off);
+    (Transport.Multi.stats m_off).conns_poisoned;
   Alcotest.(check int) "and with the cache on" 2
-    (Transport.Multi.conns_poisoned m_on);
+    (Transport.Multi.stats m_on).conns_poisoned;
   Alcotest.(check bool) "same epochs with and without the cache" true
     (epochs_equal m_off m_on)
 

@@ -609,8 +609,8 @@ let prop_receiver_order_invariant
     rx
   in
   let a = deliver order_a and b = deliver order_b in
-  let os_a = CT.Receiver.overlap_stats a in
-  let os_b = CT.Receiver.overlap_stats b in
+  let os_a = (CT.Receiver.stats a).overlap in
+  let os_b = (CT.Receiver.stats b).overlap in
   CT.Receiver.complete a && CT.Receiver.complete b
   && Bytes.equal (CT.Receiver.contents a) (CT.Receiver.contents b)
   && Bytes.equal (Bytes.sub (CT.Receiver.contents a) 0 data_len) stream
