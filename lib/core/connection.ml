@@ -92,27 +92,36 @@ type t = (int, state) Hashtbl.t
 
 let create () : t = Hashtbl.create 8
 
+let on_signal tbl chunk =
+  match parse_signal chunk with
+  | Error _ as e -> e
+  | Ok (conn_id, signal) as ok ->
+      (match signal with
+      | Open { first_csn } ->
+          Hashtbl.replace tbl conn_id (Established { first_csn })
+      | Close -> Hashtbl.replace tbl conn_id Closed
+      | Resync _ | Abort_tpdu _ | Shed_tpdu _ -> ());
+      ok
+
+let on_data tbl ~conn_id ~c_st =
+  match Hashtbl.find_opt tbl conn_id with
+  | Some (Established _) ->
+      (* the in-band end-of-connection bit also closes *)
+      if c_st then Hashtbl.replace tbl conn_id Closed;
+      true
+  | Some Closed | None -> false
+
 let on_chunk tbl chunk =
   let h = chunk.Chunk.header in
   if Chunk.is_terminator chunk then `Ignored
   else if Ctype.equal h.Header.ctype Ctype.signal then (
-    match parse_signal chunk with
+    match on_signal tbl chunk with
     | Error _ -> `Ignored
-    | Ok (conn_id, signal) ->
-        (match signal with
-        | Open { first_csn } ->
-            Hashtbl.replace tbl conn_id (Established { first_csn })
-        | Close -> Hashtbl.replace tbl conn_id Closed
-        | Resync _ | Abort_tpdu _ | Shed_tpdu _ -> ());
-        `Signal (conn_id, signal))
+    | Ok (conn_id, signal) -> `Signal (conn_id, signal))
   else if Chunk.is_data chunk then begin
     let conn_id = h.Header.c.Ftuple.id in
-    match Hashtbl.find_opt tbl conn_id with
-    | Some (Established _) ->
-        (* the in-band end-of-connection bit also closes *)
-        if h.Header.c.Ftuple.st then Hashtbl.replace tbl conn_id Closed;
-        `Data_for conn_id
-    | Some Closed | None -> `Unknown_connection conn_id
+    if on_data tbl ~conn_id ~c_st:h.Header.c.Ftuple.st then `Data_for conn_id
+    else `Unknown_connection conn_id
   end
   else `Ignored
 

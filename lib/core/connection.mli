@@ -48,9 +48,20 @@ val create : unit -> t
 val on_chunk : t -> Chunk.t ->
   [ `Signal of int * signal | `Data_for of int | `Unknown_connection of int
   | `Ignored ]
-(** Route one chunk: signals update the table; data chunks are accepted
-    only for established connections ([`Unknown_connection] models the
-    paper's requirement that establishment precedes data). *)
+(** Route one chunk: signals update the table ({!on_signal}); data
+    chunks are accepted only for established connections
+    ({!on_data}; [`Unknown_connection] models the paper's requirement
+    that establishment precedes data). *)
+
+val on_signal : t -> Chunk.t -> (int * signal, string) result
+(** {!parse_signal}, applying a parsed [Open] or [Close] to the table. *)
+
+val on_data : t -> conn_id:int -> c_st:bool -> bool
+(** The data branch of {!on_chunk} at label level, for a receive path
+    that reads C.ID and C.ST straight from the packet: whether
+    [conn_id] is established, closing it when [c_st] (the in-band
+    end-of-connection bit) is set.  Allocates nothing for an unknown
+    connection. *)
 
 val state : t -> conn_id:int -> state option
 (** Current state of one connection; [None] if the table has never seen

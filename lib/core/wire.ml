@@ -162,8 +162,9 @@ let all_zero b off =
    - a residue shorter than one header must be all-zero padding
 
    The TYPE byte needs no check: every u8 is a valid [Ctype.code].  The
-   field readers and [Scan.chunk] skip validation entirely and are only
-   meaningful at offsets a successful [packet] call produced. *)
+   field readers, [Scan.header] and [Scan.chunk] skip validation
+   entirely and are only meaningful at offsets a successful [packet]
+   call produced. *)
 
 module Scan = struct
   (* Bounds-check-free header reads for the validating loop.  These are
@@ -231,41 +232,42 @@ module Scan = struct
      one byte read instead of a boxed [Int64]. *)
   let tuple_ok b off = u8 b (off + 4) land 0x40 = 0 && u8 b (off + 12) <= 1
 
-  let packet s b =
-    s.n <- 0;
-    let nb = Bytes.length b in
-    let rec go off =
-      if off >= nb then true
-      else if nb - off < header_size then all_zero b off
+  (* A top-level loop rather than a local closure, so that a scan
+     allocates nothing at all. *)
+  let rec scan_from s b nb off =
+    if off >= nb then true
+    else if nb - off < header_size then all_zero b off
+    else begin
+      let len = u32 b (off + 3) in
+      if len > Header.max_len then false
       else begin
-        let len = u32 b (off + 3) in
-        if len > Header.max_len then false
+        let code = u8 b off in
+        let is_data = code = 0 in
+        let size = u16 b (off + 1) in
+        if is_data && len > 0 && size < 1 then false
+        else if
+          not
+            (tuple_ok b (off + 7)
+            && tuple_ok b (off + 20)
+            && tuple_ok b (off + 33))
+        then false
+        else if len = 0 then true (* terminator: rest of packet ignored *)
         else begin
-          let code = u8 b off in
-          let is_data = code = 0 in
-          let size = u16 b (off + 1) in
-          if is_data && len > 0 && size < 1 then false
-          else if
-            not
-              (tuple_ok b (off + 7)
-              && tuple_ok b (off + 20)
-              && tuple_ok b (off + 33))
-          then false
-          else if len = 0 then true (* terminator: rest of packet ignored *)
+          let nbytes = if is_data then size * len else len in
+          if nb - (off + header_size) < nbytes then false
           else begin
-            let nbytes = if is_data then size * len else len in
-            if nb - (off + header_size) < nbytes then false
-            else begin
-              push s off
-                (u32 b (off + 7))
-                (code lor (u8 b (off + 19) lsl 8));
-              go (off + header_size + nbytes)
-            end
+            push s off
+              (u32 b (off + 7))
+              (code lor (u8 b (off + 19) lsl 8));
+            scan_from s b nb (off + header_size + nbytes)
           end
         end
       end
-    in
-    go 0
+    end
+
+  let packet s b =
+    s.n <- 0;
+    scan_from s b (Bytes.length b) 0
 
   let ctype_code b off = Bytes.get_uint8 b off
   let is_data_chunk b off = Bytes.get_uint8 b off = 0
@@ -288,20 +290,24 @@ module Scan = struct
       ~sn:(Int64.to_int (Bytes.get_int64_be b (off + 4)))
       ()
 
-  let chunk b off =
+  let payload_bytes b off =
+    if is_data_chunk b off then size b off * len b off else len b off
+
+  let header b off =
     let ctype =
       match Bytes.get_uint8 b off with 0 -> Ctype.Data | k -> Ctype.Control k
     in
-    let h =
-      {
-        Header.ctype;
-        size = Bytes.get_uint16_be b (off + 1);
-        len = get_u32 b (off + 3);
-        c = tuple b (off + 7);
-        t = tuple b (off + 20);
-        x = tuple b (off + 33);
-      }
-    in
+    {
+      Header.ctype;
+      size = Bytes.get_uint16_be b (off + 1);
+      len = get_u32 b (off + 3);
+      c = tuple b (off + 7);
+      t = tuple b (off + 20);
+      x = tuple b (off + 33);
+    }
+
+  let chunk b off =
+    let h = header b off in
     Chunk.make_exn h (Bytes.sub b (off + header_size) (Header.payload_bytes h))
 end
 

@@ -152,11 +152,25 @@ module Scan : sig
   val x_st : bytes -> int -> bool
   (** External-PDU-level ID / first-element SN / last-element ST. *)
 
+  val payload_bytes : bytes -> int -> int
+  (** Payload bytes the chunk announces ([SIZE * LEN] for data, [LEN]
+      for control), as {!Header.payload_bytes}; the payload starts at
+      [off + header_size]. *)
+
+  val header : bytes -> int -> Header.t
+  (** The header at a scanned offset, without its payload.  The receive
+      path builds this one object for a chunk that gets past its label
+      gates and reads the payload in place, from the packet.  Allocates
+      the header and its three tuples. *)
+
   val chunk : bytes -> int -> Chunk.t
-  (** Materialise the chunk at a scanned offset — the slow-path
-      fallback's bridge back to {!Chunk.t} processing.  Equal (by
-      {!Chunk.equal}) to what {!decode_chunk} returns there.  Allocates
-      (a header, the chunk and a payload copy). *)
+  (** Materialise the chunk at a scanned offset: {!header} plus a copy
+      of the payload.  Equal (by {!Chunk.equal}) to what
+      {!decode_chunk} returns there.  The receive path calls it only
+      for signals, whose payload is parsed as an object; a chunk that
+      must outlive the packet in the corroboration stash is copied the
+      same way from the {!header} it already has, and everything else
+      is decided and processed in the packet. *)
 end
 
 (** {1 Checksummed record framing}

@@ -232,27 +232,27 @@ let commit_arrival s (h : Header.t) =
   if not (Hashtbl.mem s.x_deltas h.Header.x.Ftuple.id) then
     Hashtbl.add s.x_deltas h.Header.x.Ftuple.id xd
 
-(* Accumulate exactly the fresh element sub-runs of a chunk's payload.
-   The unchecked fast path is safe here: [fresh] runs are sub-ranges of
-   the chunk's own [sn, sn + len) (so the byte slice is inside the
-   payload, whose length the chunk invariant ties to LEN * SIZE), and
-   [arrival_check] already rejected any chunk whose element span escapes
-   the invariant's data region, so every position is in range. *)
-let accumulate_fresh s chunk fresh =
-  let h = chunk.Chunk.header in
+(* Accumulate exactly the fresh element sub-runs of a chunk's payload,
+   which sits in [buf] at [off].  The unchecked fast path is safe here:
+   [fresh] runs are sub-ranges of the chunk's own [sn, sn + len) (so the
+   byte slice is inside the payload, which [on_view] checked lies inside
+   [buf]), and [arrival_check] already rejected any chunk whose element
+   span escapes the invariant's data region, so every position is in
+   range. *)
+let accumulate_fresh s (h : Header.t) buf off fresh =
   let size = h.Header.size in
-  let base_sn = h.Header.t.Ftuple.sn in
+  (* where element T.SN 0 would sit in [buf] *)
+  let origin = off - (h.Header.t.Ftuple.sn * size) in
   List.iter
     (fun (sn, len) ->
       match Invariant.data_position ~size ~t_sn:sn with
       | Error msg -> if s.damage = None then s.damage <- Some msg
       | Ok pos ->
-          let off = (sn - base_sn) * size in
-          Wsc2.add_subbytes_exn s.acc ~pos chunk.Chunk.payload off (len * size))
+          Wsc2.add_subbytes_exn s.acc ~pos buf (origin + (sn * size))
+            (len * size))
     fresh
 
-let on_data v chunk =
-  let h = chunk.Chunk.header in
+let on_data v (h : Header.t) buf off =
   let t_id = h.Header.t.Ftuple.id in
   let s = state v t_id in
   match arrival_check s h with
@@ -274,7 +274,7 @@ let on_data v chunk =
               if Obs.enabled then Obs.Metrics.incr m_dups;
               events := [ Duplicate_dropped { t_id } ]
           | _ :: _ ->
-              accumulate_fresh s chunk fresh;
+              accumulate_fresh s h buf off fresh;
               List.iter
                 (fun (sn, len) ->
                   let xsn =
@@ -291,7 +291,7 @@ let on_data v chunk =
              payload freshness: a refragmented retransmission can
              re-deliver a boundary on an all-duplicate chunk. *)
           if h.Header.t.Ftuple.st || h.Header.x.Ftuple.st then begin
-            let boundary = Chunk.last_t_sn chunk in
+            let boundary = h.Header.t.Ftuple.sn + h.Header.len - 1 in
             if not (Hashtbl.mem s.pairs_done boundary) then begin
               Hashtbl.add s.pairs_done boundary ();
               let pos = Invariant.xpair_position ~boundary_t_sn:boundary in
@@ -313,11 +313,10 @@ let on_data v chunk =
           end;
           !events @ try_finish v t_id s)
 
-let on_ed v chunk =
-  let h = chunk.Chunk.header in
+let on_ed v (h : Header.t) buf off =
   let t_id = h.Header.t.Ftuple.id in
   let s = state v t_id in
-  if Bytes.length chunk.Chunk.payload <> 12 then
+  if Header.payload_bytes h <> 12 then
     fail_now v t_id (Reassembly_error "malformed ED chunk payload")
   else
     match s.c_id with
@@ -325,10 +324,8 @@ let on_ed v chunk =
         fail_now v t_id (Consistency_failure "ED chunk C.ID mismatch")
     | Some _ | None ->
   begin
-    let parity = Wsc2.parity_of_bytes chunk.Chunk.payload 0 in
-    let total =
-      Int32.to_int (Bytes.get_int32_be chunk.Chunk.payload 8) land 0xFFFF_FFFF
-    in
+    let parity = Wsc2.parity_of_bytes buf off in
+    let total = Int32.to_int (Bytes.get_int32_be buf (off + 8)) land 0xFFFF_FFFF in
     match s.expected with
     | Some p when not (Wsc2.parity_equal p parity) ->
         fail_now v t_id (Reassembly_error "conflicting ED chunks")
@@ -356,17 +353,21 @@ let on_ed v chunk =
               | Ok () -> try_finish v t_id s))
   end
 
-let on_chunk v chunk =
+let on_view v (h : Header.t) buf off =
+  let nbytes = Header.payload_bytes h in
+  if off < 0 || off > Bytes.length buf - nbytes then
+    invalid_arg "Verifier.on_view: payload outside the buffer";
   v.seen <- v.seen + 1;
   if Obs.enabled then begin
     Obs.Metrics.incr m_chunks;
-    Obs.Metrics.observe m_payload (Bytes.length chunk.Chunk.payload)
+    Obs.Metrics.observe m_payload nbytes
   end;
-  if Chunk.is_terminator chunk then []
-  else if Chunk.is_data chunk then on_data v chunk
-  else if Ctype.equal chunk.Chunk.header.Header.ctype Ctype.ed then
-    on_ed v chunk
+  if Header.is_terminator h then []
+  else if Ctype.is_data h.Header.ctype then on_data v h buf off
+  else if Ctype.equal h.Header.ctype Ctype.ed then on_ed v h buf off
   else []
+
+let on_chunk v chunk = on_view v chunk.Chunk.header chunk.Chunk.payload 0
 
 let in_flight v = Hashtbl.length v.tpdus
 

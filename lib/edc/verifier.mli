@@ -48,10 +48,19 @@ val create : ?now:(unit -> float) -> unit -> t
     [Obs.now], which [Netsim.Engine] keeps stamped.  Pass an explicit
     clock when running the verifier outside a simulation. *)
 
+val on_view : t -> Labelling.Header.t -> bytes -> int -> event list
+(** [on_view v h buf off] feeds one arriving chunk whose labels are [h]
+    and whose payload is the [Labelling.Header.payload_bytes h] bytes of
+    [buf] at [off] — typically the packet it arrived in, so the payload
+    is read in place and never copied (the receive path's entry).  Data
+    and ED control chunks are processed; other control types and
+    terminators are ignored.  Never raises on malformed labels or
+    payload — damage is recorded and surfaces in the verdict.  [buf] is
+    not retained after the call returns.
+    @raise Invalid_argument if the payload slice is outside [buf]. *)
+
 val on_chunk : t -> Labelling.Chunk.t -> event list
-(** Feed one arriving chunk (data or ED control; other control types and
-    terminators are ignored).  Never raises on malformed input — damage
-    is recorded and surfaces in the verdict. *)
+(** [on_view v c.header c.payload 0]: feed one materialised chunk. *)
 
 val in_flight : t -> int
 (** TPDUs with state held (arrived but not yet verified). *)

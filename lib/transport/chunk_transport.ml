@@ -384,25 +384,24 @@ module Receiver = struct
           if key.Governor.tpdu >= 0 then evict rx ~t_id:key.Governor.tpdu);
     rx
 
-  (* Place the fresh sub-run [t_sn, t_sn+elems) of [chunk] straight into
-     the application buffer from the chunk's own payload — spatial
-     reordering, one pass, no intermediate copy.  Only a run that must
-     wait in quarantine is copied out, into a sub-chunk of its own. *)
-  let place_fresh rx chunk ~t_sn ~elems =
-    let h = chunk.Chunk.header in
+  (* Place the fresh sub-run [t_sn, t_sn+elems) of the chunk labelled
+     [h], whose payload sits in [buf] at [poff], straight into the
+     application buffer — spatial reordering, one pass, no intermediate
+     copy.  Only a run that must wait in quarantine is copied out, into
+     a sub-chunk of its own. *)
+  let place_fresh rx (h : Header.t) buf poff ~t_sn ~elems =
     let off_elems = t_sn - h.Header.t.Ftuple.sn in
     let size = h.Header.size in
     let c_sn = h.Header.c.Ftuple.sn + off_elems in
     let t_id = h.Header.t.Ftuple.id in
-    let off = off_elems * size and nbytes = elems * size in
+    let off = poff + (off_elems * size) and nbytes = elems * size in
     (* One combined pass: read while computing, write to the final
        location. *)
     Busmodel.mem_to_cpu rx.bus nbytes;
     Busmodel.cpu_to_mem rx.bus nbytes;
     match
       Placement.place_slice rx.placement ~verified:false ~sn:c_sn ~size
-        ~conn:h.Header.c.Ftuple.id ~tpdu:t_id chunk.Chunk.payload ~off
-        ~len:elems
+        ~conn:h.Header.c.Ftuple.id ~tpdu:t_id buf ~off ~len:elems
     with
     | Ok rep ->
         (match Hashtbl.find_opt rx.corrob t_id with
@@ -423,7 +422,7 @@ module Receiver = struct
                   ~c:(Ftuple.v ~id:h.Header.c.Ftuple.id ~sn:c_sn ())
                   ~t:(Ftuple.v ~id:t_id ~sn:t_sn ())
                   ~x:h.Header.x
-                  (Bytes.sub chunk.Chunk.payload off nbytes)
+                  (Bytes.sub buf off nbytes)
               with
               | Ok sub -> m.quarantine <- (sub, c_sn, elems) :: m.quarantine
               | Error _ -> ()
@@ -453,7 +452,9 @@ module Receiver = struct
   let flush_stash rx m =
     let pending = List.rev m.stash in
     m.stash <- [];
-    List.iter (fun (chunk, t_sn, elems) -> place_fresh rx chunk ~t_sn ~elems)
+    List.iter
+      (fun (c, t_sn, elems) ->
+        place_fresh rx c.Chunk.header c.Chunk.payload 0 ~t_sn ~elems)
       pending
 
   (* Note the chunk's connection delta before the verifier sees it, so
@@ -461,10 +462,9 @@ module Receiver = struct
      it may trigger.  First witness wins within an epoch: a conflicting
      later chunk fails the TPDU in the verifier, which clears the
      epoch's state here too. *)
-  let witness rx chunk =
-    let h = chunk.Chunk.header in
+  let witness rx (h : Header.t) =
     let is_ed = Ctype.equal h.Header.ctype Ctype.ed in
-    if Chunk.is_data chunk || is_ed then begin
+    if Ctype.is_data h.Header.ctype || is_ed then begin
       let m = corrob rx h.Header.t.Ftuple.id in
       if not m.confirmed then begin
         let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
@@ -521,10 +521,10 @@ module Receiver = struct
       match Hashtbl.find_opt rx.corrob t_id with
       | None -> 0
       | Some m ->
-          List.fold_left
-            (fun acc (c, _, _) -> acc + Bytes.length c.Chunk.payload + 48)
-            (16 * List.length m.placed_runs)
-            (m.stash @ m.quarantine)
+          let held acc (c, _, _) = acc + Bytes.length c.Chunk.payload + 48 in
+          List.fold_left held
+            (List.fold_left held (16 * List.length m.placed_runs) m.stash)
+            m.quarantine
     in
     if fp = 0 && stash = 0 then
       Governor.remove rx.governor ~key:(gov_key rx t_id)
@@ -648,112 +648,136 @@ module Receiver = struct
         shed_tpdu rx ~t_id ~first_elem ~elems
     | Ok _ | Error _ -> ()
 
+  (* A TPDU passed: place what it still holds, settle its quarantine,
+     lock its bytes and acknowledge it (once per T.ID). *)
+  let tpdu_passed rx t_id =
+    (* a passed parity covers every stashed run, so any still-unconfirmed
+       stash is safe to place now *)
+    let placed_runs =
+      match Hashtbl.find_opt rx.corrob t_id with
+      | Some m ->
+          flush_stash rx m;
+          (* the parity settles this TPDU's quarantined conflicts:
+             re-assert each held run with a verified write, which
+             reclaims bytes from any unverified squatter but never from
+             a locked region *)
+          List.iter
+            (fun (sub, _, _) ->
+              match Placement.place_verified rx.placement sub with
+              | Ok rep ->
+                  m.placed_runs <-
+                    rep.Placement.rp_fresh
+                    @ rep.Placement.rp_benign @ m.placed_runs
+              | Error _ -> ())
+            (List.rev m.quarantine);
+          m.quarantine <- [];
+          List.iter
+            (fun (sn, len) ->
+              (match
+                 Vreassembly.insert_new rx.verified_cover ~sn ~len ~st:false
+               with
+              | Ok _ | Error `Inconsistent -> ());
+              (* the verified bytes can never again be clobbered by
+                 conflicting data *)
+              Placement.lock_span rx.placement ~sn ~len)
+            m.placed_runs;
+          m.placed_runs
+      | None -> []
+    in
+    (* verification acks the TPDU: the cached premise "not yet
+       acknowledged" just broke *)
+    invalidate_l1 rx t_id;
+    Hashtbl.remove rx.corrob t_id;
+    (match Hashtbl.find_opt rx.end_claims t_id with
+    | Some last ->
+        rx.end_confirmed <- Some last;
+        Hashtbl.remove rx.end_claims t_id
+    | None -> ());
+    if not (Hashtbl.mem rx.acked t_id) then begin
+      Hashtbl.add rx.acked t_id ();
+      if t_id < rx.ident_min then rx.ident_min <- t_id;
+      if Obs.enabled then Obs.Metrics.incr m_acks;
+      (match Hashtbl.find_opt rx.first_arrival t_id with
+      | Some t0 ->
+          let dt = Netsim.Engine.now rx.engine -. t0 in
+          Netsim.Stats.add rx.tpdu_latency dt;
+          if Obs.enabled then Obs.Metrics.observe_s m_tpdu_latency dt;
+          Hashtbl.remove rx.first_arrival t_id
+      | None -> ());
+      (* write-ahead: the bytes this ACK promises to keep go to stable
+         storage before the ACK can reach the sender — otherwise a crash
+         after the ACK leaves a hole the sender will never refill *)
+      (match rx.persist with
+      | Some journal ->
+          let es = rx.config.elem_size in
+          let buf = Placement.contents rx.placement in
+          let runs =
+            Persist.normalize_runs ~elem_size:es
+              (List.filter_map
+                 (fun (sn, len) ->
+                   let off = sn * es and n = len * es in
+                   if sn >= 0 && len > 0 && off + n <= Bytes.length buf
+                   then Some (sn, Bytes.sub buf off n)
+                   else None)
+                 placed_runs)
+          in
+          journal
+            (Persist.Acked
+               {
+                 conn = rx.config.conn_id;
+                 t_id;
+                 end_confirmed = rx.end_confirmed;
+                 runs;
+               })
+      | None -> ());
+      rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
+    end
+
   (* The verifier-dispatch and governor re-accounting tail of chunk
-     processing, shared verbatim by the slow path ([on_chunk]) and the
+     processing, shared verbatim by the slow path ([on_scanned]) and the
      flow-cache fast path ([ingest]'s cached dispatch): everything from
-     here on is work no cache may skip. *)
-  let verify_and_account rx chunk t_id =
-    let events = Edc.Verifier.on_chunk rx.verifier chunk in
-    List.iter
-      (fun ev ->
+     here on is work no cache may skip.  The chunk is labelled [h] and
+     its payload read in place, in [buf] at [poff].  It is copied out
+     of [buf] at most once, and only when a fresh run of it has to wait
+     in the corroboration stash, past the packet's life: [stashed]
+     carries that copy across the chunk's events. *)
+  let rec handle_events rx (h : Header.t) buf poff stashed = function
+    | [] -> ()
+    | ev :: rest -> (
         match ev with
         | Edc.Verifier.Fresh_data { t_id; t_sn; elems } ->
             let m = corrob rx t_id in
-            if m.confirmed then place_fresh rx chunk ~t_sn ~elems
-            else m.stash <- (chunk, t_sn, elems) :: m.stash
-        | Edc.Verifier.Tpdu_verified { t_id; verdict = Edc.Verifier.Passed } ->
-            (* a passed parity covers every stashed run, so any
-               still-unconfirmed stash is safe to place now *)
-            let placed_runs =
-              match Hashtbl.find_opt rx.corrob t_id with
-              | Some m ->
-                  flush_stash rx m;
-                  (* the parity settles this TPDU's quarantined
-                     conflicts: re-assert each held run with a
-                     verified write, which reclaims bytes from any
-                     unverified squatter but never from a locked
-                     region *)
-                  List.iter
-                    (fun (sub, _, _) ->
-                      match Placement.place_verified rx.placement sub with
-                      | Ok rep ->
-                          m.placed_runs <-
-                            rep.Placement.rp_fresh
-                            @ rep.Placement.rp_benign @ m.placed_runs
-                      | Error _ -> ())
-                    (List.rev m.quarantine);
-                  m.quarantine <- [];
-                  List.iter
-                    (fun (sn, len) ->
-                      (match
-                         Vreassembly.insert_new rx.verified_cover ~sn ~len
-                           ~st:false
-                       with
-                      | Ok _ | Error `Inconsistent -> ());
-                      (* the verified bytes can never again be
-                         clobbered by conflicting data *)
-                      Placement.lock_span rx.placement ~sn ~len)
-                    m.placed_runs;
-                  m.placed_runs
-              | None -> []
-            in
-            (* verification acks the TPDU: the cached premise "not yet
-               acknowledged" just broke *)
-            invalidate_l1 rx t_id;
-            Hashtbl.remove rx.corrob t_id;
-            (match Hashtbl.find_opt rx.end_claims t_id with
-            | Some last ->
-                rx.end_confirmed <- Some last;
-                Hashtbl.remove rx.end_claims t_id
-            | None -> ());
-            if not (Hashtbl.mem rx.acked t_id) then begin
-              Hashtbl.add rx.acked t_id ();
-              if t_id < rx.ident_min then rx.ident_min <- t_id;
-              if Obs.enabled then Obs.Metrics.incr m_acks;
-              (match Hashtbl.find_opt rx.first_arrival t_id with
-              | Some t0 ->
-                  let dt = Netsim.Engine.now rx.engine -. t0 in
-                  Netsim.Stats.add rx.tpdu_latency dt;
-                  if Obs.enabled then Obs.Metrics.observe_s m_tpdu_latency dt;
-                  Hashtbl.remove rx.first_arrival t_id
-              | None -> ());
-              (* write-ahead: the bytes this ACK promises to keep go
-                 to stable storage before the ACK can reach the
-                 sender — otherwise a crash after the ACK leaves a
-                 hole the sender will never refill *)
-              (match rx.persist with
-              | Some journal ->
-                  let es = rx.config.elem_size in
-                  let buf = Placement.contents rx.placement in
-                  let runs =
-                    Persist.normalize_runs ~elem_size:es
-                      (List.filter_map
-                         (fun (sn, len) ->
-                           let off = sn * es and n = len * es in
-                           if sn >= 0 && len > 0 && off + n <= Bytes.length buf
-                           then Some (sn, Bytes.sub buf off n)
-                           else None)
-                         placed_runs)
-                  in
-                  journal
-                    (Persist.Acked
-                       {
-                         conn = rx.config.conn_id;
-                         t_id;
-                         end_confirmed = rx.end_confirmed;
-                         runs;
-                       })
-              | None -> ());
-              rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
+            if m.confirmed then begin
+              place_fresh rx h buf poff ~t_sn ~elems;
+              handle_events rx h buf poff stashed rest
             end
+            else begin
+              let c =
+                match stashed with
+                | Some c -> c
+                | None ->
+                    Chunk.make_exn h
+                      (Bytes.sub buf poff (Header.payload_bytes h))
+              in
+              m.stash <- (c, t_sn, elems) :: m.stash;
+              handle_events rx h buf poff (Some c) rest
+            end
+        | Edc.Verifier.Tpdu_verified { t_id; verdict = Edc.Verifier.Passed } ->
+            tpdu_passed rx t_id;
+            handle_events rx h buf poff stashed rest
         | Edc.Verifier.Tpdu_verified { t_id; verdict = _ } ->
-            (* failed epoch: drop its suspect stash and end claim
-               with it *)
+            (* failed epoch: drop its suspect stash and end claim with
+               it *)
             invalidate_l1 rx t_id;
             Hashtbl.remove rx.corrob t_id;
-            Hashtbl.remove rx.end_claims t_id
-        | Edc.Verifier.Duplicate_dropped _ -> ())
-      events;
+            Hashtbl.remove rx.end_claims t_id;
+            handle_events rx h buf poff stashed rest
+        | Edc.Verifier.Duplicate_dropped _ ->
+            handle_events rx h buf poff stashed rest)
+
+  let verify_and_account rx (h : Header.t) buf poff t_id =
+    handle_events rx h buf poff None
+      (Edc.Verifier.on_view rx.verifier h buf poff);
     account rx t_id
 
   (* Install a flow-cache row for [t_id] if — after this chunk's full
@@ -761,10 +785,9 @@ module Receiver = struct
      re-checking holds.  Keyed by the receiver's own C.ID: a chunk whose
      (possibly corrupted) C.ID differs can never populate the cache, so
      invalidation only ever has one key to clear. *)
-  let maybe_cache rx chunk t_id =
+  let maybe_cache rx (h : Header.t) t_id =
     match Hashtbl.find_opt rx.corrob t_id with
     | Some { confirmed = true; delta_data = Some delta; _ } ->
-        let h = chunk.Chunk.header in
         if
           h.Header.c.Ftuple.id = rx.config.conn_id
           && (not h.Header.c.Ftuple.st)
@@ -776,22 +799,30 @@ module Receiver = struct
           Flowcache.insert rx.fcache ~k1:rx.config.conn_id ~k2:t_id delta
     | Some _ | None -> ()
 
-  let on_chunk rx chunk =
-    if Chunk.is_terminator chunk then ()
-    else if Ctype.equal chunk.Chunk.header.Header.ctype Ctype.signal then
-      on_signal rx chunk
+  let trace_rx rx b off t_id =
+    if Obs.enabled && Obs.Trace.active () then
+      Obs.Trace.record
+        (Obs.Trace.Chunk_rx
+           {
+             conn = Wire.Scan.c_id b off;
+             tpdu = t_id;
+             bytes = Wire.Scan.payload_bytes b off;
+           })
+        ~time:(Netsim.Engine.now rx.engine)
+
+  (* The slow path of one scanned chunk: every gate and every check, no
+     cache.  The gates decide from the labels where they sit in the
+     packet (paper §2: the header alone says what to do with a chunk),
+     so a chunk they turn away costs no allocation beyond its outcome.
+     Only a chunk that gets past them has its header built; its payload
+     stays in the packet.  Signals are the exception: their payload is
+     parsed as an object, so they are materialised. *)
+  let on_scanned rx b off =
+    let code = Wire.Scan.ctype_code b off in
+    if code = Ctype.code Ctype.signal then on_signal rx (Wire.Scan.chunk b off)
     else begin
-      let h = chunk.Chunk.header in
-      let t_id = h.Header.t.Ftuple.id in
-      if Obs.enabled && Obs.Trace.active () then
-        Obs.Trace.record
-          (Obs.Trace.Chunk_rx
-             {
-               conn = h.Header.c.Ftuple.id;
-               tpdu = t_id;
-               bytes = Bytes.length chunk.Chunk.payload;
-             })
-          ~time:(Netsim.Engine.now rx.engine);
+      let t_id = Wire.Scan.t_id b off in
+      trace_rx rx b off t_id;
       (* late traffic for an already-verified TPDU is not re-processed
          (feeding it would recreate verifier state that can never
          complete), but it is re-acknowledged *)
@@ -800,7 +831,8 @@ module Receiver = struct
          recreate verifier state the sender will never complete *)
       else if Hashtbl.mem rx.shed_tids t_id then ()
       else begin
-        (if Chunk.is_data chunk then begin
+        let h = Wire.Scan.header b off in
+        (if code = 0 then begin
            if not (Hashtbl.mem rx.first_arrival t_id) then
              Hashtbl.add rx.first_arrival t_id (Netsim.Engine.now rx.engine);
            (* the C.ST bit claims the connection's final element; the
@@ -814,10 +846,19 @@ module Receiver = struct
              arm_nack rx t_id 0
            end
          end);
-        witness rx chunk;
-        verify_and_account rx chunk t_id;
-        maybe_cache rx chunk t_id
+        witness rx h;
+        verify_and_account rx h b (off + Wire.header_size) t_id;
+        maybe_cache rx h t_id
       end
+    end
+
+  (* A decoded chunk takes the same path as the one-chunk packet it
+     would have arrived in. *)
+  let on_chunk rx chunk =
+    if not (Chunk.is_terminator chunk) then begin
+      let buf = Buffer.create (Wire.chunk_size chunk) in
+      Wire.encode_chunk buf chunk;
+      on_scanned rx (Buffer.to_bytes buf) 0
     end
 
   (* Fast-path dispatch of one scanned chunk (DESIGN §7).  Eligible
@@ -828,31 +869,23 @@ module Receiver = struct
      acked/shed/timer re-checks the slow path would perform are all
      settled no-ops for this TPDU.  Anything else (miss, stale delta =
      corrupt label, signal, C.ST carrier) reports [false] and the caller
-     falls back to [on_chunk]. *)
+     falls back to [on_scanned]. *)
   let fast_chunk rx b off =
     let code = Wire.Scan.ctype_code b off in
     if (code = 0 || code = 1) && not (Wire.Scan.c_st b off) then begin
       let t_id = Wire.Scan.t_id b off in
       match Flowcache.find rx.fcache ~k1:(Wire.Scan.c_id b off) ~k2:t_id with
       | Some delta when Wire.Scan.c_sn b off - Wire.Scan.t_sn b off = delta ->
-          let chunk = Wire.Scan.chunk b off in
-          if Obs.enabled && Obs.Trace.active () then
-            Obs.Trace.record
-              (Obs.Trace.Chunk_rx
-                 {
-                   conn = rx.config.conn_id;
-                   tpdu = t_id;
-                   bytes = Bytes.length chunk.Chunk.payload;
-                 })
-              ~time:(Netsim.Engine.now rx.engine);
-          verify_and_account rx chunk t_id;
+          trace_rx rx b off t_id;
+          verify_and_account rx (Wire.Scan.header b off) b
+            (off + Wire.header_size) t_id;
           true
       | Some _ | None -> false
     end
     else false
 
   let ingest_scanned rx b off =
-    if not (fast_chunk rx b off) then on_chunk rx (Wire.Scan.chunk b off)
+    if not (fast_chunk rx b off) then on_scanned rx b off
 
   let ingest rx b =
     Busmodel.nic_to_mem rx.bus (Bytes.length b);

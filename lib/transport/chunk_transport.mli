@@ -205,29 +205,41 @@ module Receiver : sig
       by construction. *)
 
   val on_chunk : t -> Labelling.Chunk.t -> unit
-  (** Feed one already-decoded chunk (demultiplexer path; no bus
-      accounting). *)
+  (** Feed one already-decoded chunk: its wire image is rebuilt and
+      takes {!on_scanned}, as the one-chunk packet it would have arrived
+      in (no bus accounting, no flow cache). *)
 
   val ingest : t -> bytes -> unit
   (** Feed one packet from the network — the receiver's only packet
       entry point.  A single zero-allocation structural scan
       ({!Labelling.Wire.Scan}) validates the packet (a malformed one is
-      dropped whole), and chunks whose [(C.ID, T.ID)] row is cached
-      dispatch straight to the verifier, skipping the per-chunk
-      consistency re-checks already witnessed for that TPDU's epoch.
-      Every other chunk is materialised and takes {!on_chunk}, which
-      repopulates the cache.  Given a capacity-0 [?fcache] (see
-      {!Flowcache.create}) every chunk takes {!on_chunk}: that is the
-      cache-off reference of the [fastpath-coherence] oracle row, which
-      holds delivery byte-identical with and without the cache. *)
+      dropped whole), then each chunk takes {!ingest_scanned}.  Chunks
+      are processed in place: labels are read from the packet and the
+      verifier and placement read the payload from it, so no
+      [Chunk.t] is built except for a signal (whose payload is parsed)
+      and for a chunk whose fresh data must wait in the corroboration
+      stash past the call.  The caller owns [b] again once the call
+      returns: nothing retains it. *)
 
   val ingest_scanned : t -> bytes -> int -> unit
   (** [ingest_scanned rx b off] processes the single chunk starting at
       [off] in [b], where [off] came from a successful
-      {!Labelling.Wire.Scan.packet} pass over [b] — fast dispatch on a
-      per-TPDU cache hit, slow-path fallback otherwise.  The
-      demultiplexer's bridge into the receiver (no bus accounting, like
-      {!on_chunk}). *)
+      {!Labelling.Wire.Scan.packet} pass over [b] — the demultiplexer's
+      bridge into the receiver (no bus accounting).  A chunk whose
+      [(C.ID, T.ID)] row is cached dispatches straight to the verifier,
+      skipping the per-chunk consistency re-checks already witnessed
+      for that TPDU's epoch; every other chunk takes {!on_scanned},
+      which repopulates the cache.  Given a capacity-0 [?fcache] (see
+      {!Flowcache.create}) every chunk takes {!on_scanned}: that is the
+      cache-off reference of the [fastpath-coherence] oracle row, which
+      holds delivery byte-identical with and without the cache. *)
+
+  val on_scanned : t -> bytes -> int -> unit
+  (** The slow path of {!ingest_scanned}: every check, no cache.  Its
+      gates (signal, already-acknowledged, shed) read TYPE and T.ID in
+      the packet, so a re-offer of an acknowledged TPDU is re-ACKed
+      with nothing built for the chunk; a chunk past them gets one
+      [Labelling.Header.t]. *)
 
   val fastpath_stats : t -> Flowcache.stats
   (** Counters of the receiver's per-TPDU flow cache.  When the cache is

@@ -526,14 +526,18 @@ let re_ack_closed m c t_id =
     m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)
   end
 
-let route m chunk =
-  let cid = chunk.Chunk.header.Header.c.Ftuple.id in
+(* Route one non-signal chunk, scanned at [off] in [b], by its labels:
+   C.ID, TYPE and T.ID are read where they sit in the packet, so a chunk
+   for an unknown connection is dropped with nothing allocated. *)
+let route m b off =
+  let cid = Wire.Scan.c_id b off in
   match Hashtbl.find_opt m.conns cid with
   | None ->
       m.counts.unknown_drops <- m.counts.unknown_drops + 1;
       if Obs.enabled then Obs.Metrics.incr m_unknown
   | Some c when quarantine_active m c -> quarantine_drop m
   | Some c -> (
+      let t_id = Wire.Scan.t_id b off in
       match c.live with
       | Some rx ->
           (* Data or ED traffic with a TPDU label this epoch has never
@@ -546,12 +550,11 @@ let route m chunk =
              Deliberately {e not} scored as churn: it is data-driven,
              so anyone who can forge a data label could otherwise talk
              this connection into the penalty box. *)
-          let h = chunk.Chunk.header in
-          let t_id = h.Header.t.Ftuple.id in
+          let code = Wire.Scan.ctype_code b off in
           let rx =
             if
               R.complete rx
-              && (Chunk.is_data chunk || Ctype.equal h.Header.ctype Ctype.ed)
+              && (code = 0 || code = 1)
               && (not (Hashtbl.mem c.acked t_id))
               && not (R.tracks_tpdu rx ~t_id)
             then begin
@@ -562,7 +565,7 @@ let route m chunk =
             else rx
           in
           touch_conn m c;
-          R.on_chunk rx chunk
+          R.on_scanned rx b off
       | None ->
           (* closed epoch: stale retransmissions of acknowledged TPDUs
              get their ACK again (the ledger outlives the epoch); other
@@ -571,7 +574,6 @@ let route m chunk =
              is in the ledger (or was declared given-up while the epoch
              was live), so persistent late garbage is authored traffic,
              not a replay. *)
-          let t_id = chunk.Chunk.header.Header.t.Ftuple.id in
           if Hashtbl.mem c.acked t_id then re_ack_closed m c t_id
           else begin
             m.counts.late_drops <- m.counts.late_drops + 1;
@@ -579,9 +581,9 @@ let route m chunk =
             note_scored m c ~weight:w_late
           end)
 
-let on_chunk m chunk =
-  match Connection.on_chunk m.table chunk with
-  | `Signal (cid, sg) -> (
+let on_signal m chunk =
+  match Connection.on_signal m.table chunk with
+  | Ok (cid, sg) -> (
       match Hashtbl.find_opt m.conns cid with
       | Some c when quarantine_active m c ->
           (* no signal is served while boxed — in particular no Close
@@ -618,7 +620,7 @@ let on_chunk m chunk =
                      retrying the signal *)
                   re_ack_closed m c t_id
               | Some _ | None -> ())))
-  | `Ignored when Ctype.equal chunk.Chunk.header.Header.ctype Ctype.signal ->
+  | Error _ ->
       (* a structurally valid signal chunk whose payload failed its
          WSC-2 parity (or shape) check: silently dropped, but counted
          — corruption in flight and tampering look identical here *)
@@ -626,42 +628,32 @@ let on_chunk m chunk =
       (match Hashtbl.find_opt m.conns chunk.Chunk.header.Header.c.Ftuple.id with
       | Some c -> note_unscored m c
       | None -> ())
-  | `Data_for _ | `Unknown_connection _ | `Ignored ->
-      (* routing is by connection record, not table state: traffic for
-         a live epoch must keep flowing after the C.ST data chunk
-         marked the table Closed (the final TPDU's remaining chunks,
-         and retransmissions, arrive after it) *)
-      route m chunk
 
 let m_ingest_batch = Obs.Metrics.histogram "transport_ingest_batch_packets"
 
-(* Populate the L2 row for a chunk the slow path just routed: only
-   dispatch-neutral traffic (data without C.ST, or ED) of a live,
-   unfinished epoch qualifies — exactly the premises the fast dispatch
-   re-checks physically on every probe. *)
-let maybe_cache_conn m chunk =
-  let h = chunk.Chunk.header in
-  if
-    (Chunk.is_data chunk || Ctype.equal h.Header.ctype Ctype.ed)
-    && not h.Header.c.Ftuple.st
-  then
-    let cid = h.Header.c.Ftuple.id in
-    match Hashtbl.find_opt m.conns cid with
-    | Some ({ live = Some rx; _ } as c) when R.stream_end_elems rx = None ->
-        Flowcache.insert m.l2 ~k1:cid ~k2:0 { fc_conn = c; fc_rx = rx }
-    | Some _ | None -> ()
+(* Populate the L2 row for connection [cid] after the slow path routed
+   one of its dispatch-neutral chunks (data without C.ST, or ED): only a
+   live, unfinished epoch qualifies — exactly the premises the fast
+   dispatch re-checks physically on every probe. *)
+let maybe_cache_conn m cid =
+  match Hashtbl.find_opt m.conns cid with
+  | Some ({ live = Some rx; _ } as c) when R.stream_end_elems rx = None ->
+      Flowcache.insert m.l2 ~k1:cid ~k2:0 { fc_conn = c; fc_rx = rx }
+  | Some _ | None -> ()
 
 (* The receive path (DESIGN §7).  One structural scan validates the
    whole packet; each scanned chunk then probes the connection cache.
    A hit proves the chunk needs none of the slow path's dispatch work —
-   [Connection.on_chunk] is side-effect-free for non-C.ST data and ED
+   the connection table is left untouched by non-C.ST data and ED
    chunks, the epoch-reopen check cannot fire while the stream end is
    unconfirmed — so the chunk goes straight to the live receiver (whose
    own per-TPDU cache may trim further).  Any other chunk, and any chunk
-   whose cached premises no longer hold, is materialised and takes
-   [on_chunk], which repopulates the cache.  Both ways into a live
-   epoch run inside one [try], the connection's exception bulkhead, so
-   a throw never escapes into the rest of the packet or batch. *)
+   whose cached premises no longer hold, takes the slow path, which
+   repopulates the cache.  Neither way builds a [Chunk.t]: chunks are
+   routed by the labels in the packet, and only a signal, whose payload
+   is parsed as an object, is materialised.  Both ways into a live epoch
+   run inside one [try], the connection's exception bulkhead, so a
+   throw never escapes into the rest of the packet or batch. *)
 let ingest m b =
   Busmodel.nic_to_mem m.bus (Bytes.length b);
   if Wire.Scan.packet m.scan b then
@@ -670,9 +662,10 @@ let ingest m b =
       try
         let off = Wire.Scan.offset m.scan i in
         let code = Wire.Scan.ctype_code_at m.scan i in
+        let c_st = Wire.Scan.c_st_at m.scan i in
+        let neutral = (code = 0 || code = 1) && not c_st in
         let fast =
-          (code = 0 || code = 1)
-          && (not (Wire.Scan.c_st_at m.scan i))
+          neutral
           &&
           match Flowcache.find m.l2 ~k1:cid ~k2:0 with
           | Some e -> (
@@ -687,10 +680,18 @@ let ingest m b =
                   false)
           | None -> false
         in
-        if not fast then begin
-          let chunk = Wire.Scan.chunk b off in
-          on_chunk m chunk;
-          maybe_cache_conn m chunk
+        if fast then ()
+        else if code = Ctype.code Ctype.signal then
+          on_signal m (Wire.Scan.chunk b off)
+        else begin
+          (* routing is by connection record, not table state: traffic
+             for a live epoch must keep flowing after the C.ST data
+             chunk marked the table Closed (the final TPDU's remaining
+             chunks, and retransmissions, arrive after it) *)
+          if code = 0 then
+            ignore (Connection.on_data m.table ~conn_id:cid ~c_st : bool);
+          route m b off;
+          if neutral then maybe_cache_conn m cid
         end
       with e -> bulkhead m ~conn_id:cid e
     done

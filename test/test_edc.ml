@@ -317,6 +317,83 @@ let test_ed_csn_mismatch () =
   | [] -> Alcotest.fail "shifted ED C.SN went unnoticed"
   | _ -> Alcotest.fail "shifted ED C.SN must be a consistency failure"
 
+(* --- on_view: the payload read in place --------------------------- *)
+
+(* An arrival sequence over a framed stream's sealed TPDUs: refragmented,
+   with duplicates, shuffled, and with some chunks damaged in a label or
+   a payload byte. *)
+let gen_arrivals =
+  QCheck2.Gen.(
+    let* _, chunks = Util.gen_framed_stream in
+    let* frag_seed = int_range 0 0xFFFF in
+    let* dup_seeds = list_size (int_range 0 4) nat in
+    let* order_seed = int_range 0 0xFFFF in
+    let* damage = list_size (int_range 0 3) (pair nat (int_range 0 5)) in
+    let* pad_seed = int_range 0 0xFFFF in
+    let sealed = Util.ok_or_fail (Edc.Encoder.seal_tpdus chunks) in
+    let frags = Array.of_list (Util.fragment_randomly ~seed:frag_seed sealed) in
+    let n = Array.length frags in
+    let dups = List.map (fun k -> frags.(k mod n)) dup_seeds in
+    let arr =
+      Array.of_list (Util.shuffle ~seed:order_seed (Array.to_list frags @ dups))
+    in
+    let bump (u : Ftuple.t) = { u with Ftuple.sn = u.Ftuple.sn + 1 } in
+    List.iter
+      (fun (k, kind) ->
+        let i = k mod Array.length arr in
+        let c = arr.(i) in
+        let h = c.Chunk.header in
+        let p = Bytes.copy c.Chunk.payload in
+        let h =
+          match kind with
+          | 0 ->
+              let j = k mod Bytes.length p in
+              Bytes.set p j (Char.chr (Char.code (Bytes.get p j) lxor 0x5A));
+              h
+          | 1 -> { h with Header.c = bump h.Header.c }
+          | 2 -> { h with Header.t = bump h.Header.t }
+          | 3 -> { h with Header.x = { h.Header.x with Ftuple.id = 1 + h.Header.x.Ftuple.id } }
+          | 4 -> { h with Header.t = { h.Header.t with Ftuple.st = not h.Header.t.Ftuple.st } }
+          | _ -> { h with Header.c = { h.Header.c with Ftuple.id = 1 + h.Header.c.Ftuple.id } }
+        in
+        arr.(i) <- Chunk.make_exn h p)
+      damage;
+    return (Array.to_list arr, pad_seed))
+
+(* Feeding each chunk's payload in place, at a random offset inside a
+   larger buffer of random bytes, is indistinguishable from feeding the
+   chunk: the same events, counters and persisted images. *)
+let prop_view_matches_chunk (arrivals, pad_seed) =
+  let rand = Random.State.make [| pad_seed |] in
+  let by_chunk = Edc.Verifier.create ~now:(fun () -> 0.0) () in
+  let by_view = Edc.Verifier.create ~now:(fun () -> 0.0) () in
+  List.for_all
+    (fun c ->
+      let n = Bytes.length c.Chunk.payload in
+      let lead = Random.State.int rand 64 in
+      let buf =
+        Bytes.init
+          (lead + n + Random.State.int rand 64)
+          (fun _ -> Char.chr (Random.State.int rand 256))
+      in
+      Bytes.blit c.Chunk.payload 0 buf lead n;
+      Edc.Verifier.on_chunk by_chunk c
+      = Edc.Verifier.on_view by_view c.Chunk.header buf lead)
+    arrivals
+  && Edc.Verifier.stats by_chunk = Edc.Verifier.stats by_view
+  && Edc.Verifier.export by_chunk = Edc.Verifier.export by_view
+
+let test_view_outside_buffer () =
+  let c = List.hd (tpdu_fixture ()) in
+  let n = Bytes.length c.Chunk.payload in
+  let v = Edc.Verifier.create () in
+  Alcotest.check_raises "payload past the end"
+    (Invalid_argument "Verifier.on_view: payload outside the buffer")
+    (fun () ->
+      ignore (Edc.Verifier.on_view v c.Chunk.header (Bytes.create (n + 3)) 4));
+  Alcotest.(check int) "nothing was counted" 0
+    (Edc.Verifier.stats v).Edc.Verifier.chunks_seen
+
 let suite =
   [
     Alcotest.test_case "invariant positions" `Quick test_positions;
@@ -349,6 +426,10 @@ let suite =
       test_arrival_sn_overflow;
     Alcotest.test_case "ED C.SN mismatch -> consistency" `Quick
       test_ed_csn_mismatch;
+    Util.qtest ~count:200 "on_view in place agrees with on_chunk" gen_arrivals
+      prop_view_matches_chunk;
+    Alcotest.test_case "on_view rejects a slice outside its buffer" `Quick
+      test_view_outside_buffer;
     Util.qtest ~count:40 "parity invariance (property)"
       QCheck2.Gen.(tup2 (int_range 0 10000) (int_range 0 10000))
       (fun (s1, s2) ->

@@ -4,7 +4,10 @@
    with an independent reference decoder, and properties pinning
    cache-on [Multi.ingest] to byte-identical delivery with cache-off
    [Multi.ingest] under packet permutation, epoch reuse, crash-restore
-   and thrown exceptions. *)
+   and thrown exceptions.  The receive path reads packets in place, so
+   it also gets buffer-ownership properties (for [Multi.ingest_batch]
+   and [Receiver.ingest]) and allocation bounds on its payload-free
+   outcomes. *)
 
 open Labelling
 module CT = Transport.Chunk_transport
@@ -393,9 +396,9 @@ let forged_packet ~conn ~idx ~sn ~len ~key =
   | Ok b -> b
   | Error e -> failwith e
 
-let gen_ownership_case =
+let gen_ownership_case ~max_conns =
   QCheck2.Gen.(
-    let* n_conns = int_range 1 3 in
+    let* n_conns = int_range 1 max_conns in
     let* sizes = list_repeat n_conns (map (fun n -> 4 * n) (int_range 16 160)) in
     let* seed = int_range 0 255 in
     let* forged =
@@ -410,15 +413,17 @@ let gen_ownership_case =
     let* shuffle_seed = int_range 0 0xFFFF in
     let* batch = int_range 1 9 in
     let* scribble_seed = int_range 0 0xFFFF in
-    return (sizes, seed, forged, forged_first, shuffle_seed, batch, scribble_seed))
+    return
+      ((sizes, seed, forged, forged_first, shuffle_seed), batch, scribble_seed))
 
-(* Ownership contract of [ingest_batch]: once it returns, the caller
-   owns the packet buffers again and may reuse them.  Overwriting every
-   packet of each batch with random bytes right after the call must
-   leave delivery, the ACKs sent (one per verified TPDU) and the
-   verifier's pass/fail counts exactly as in an untouched run. *)
-let prop_batch_buffer_ownership
-    (sizes, seed, forged, forged_first, shuffle_seed, batch, scribble_seed) =
+(* The packets of an ownership case: every connection's Open, then (half
+   the time) the forgeries so that they win the race to the shared
+   elements, then everything else shuffled.  Each sealed chunk travels
+   alone, so a data chunk waits in the corroboration stash across
+   packets until its ED chunk arrives, and a forgery that got there
+   first holds the honest TPDU's run in quarantine until its parity
+   passes. *)
+let ownership_mix (sizes, seed, forged, forged_first, shuffle_seed) =
   let conns =
     List.mapi
       (fun i nbytes -> snd (conn_packets ~conn:(i + 1) ~seed:(seed + i) nbytes))
@@ -429,8 +434,6 @@ let prop_batch_buffer_ownership
       (fun idx (conn, sn, len, key) -> forged_packet ~conn ~idx ~sn ~len ~key)
       forged
   in
-  (* the Opens, then (half the time) the forgeries so that they win the
-     race to the shared elements, then everything else shuffled *)
   let opens = List.map List.hd conns in
   let rest = List.concat_map List.tl conns in
   let front, rest =
@@ -444,10 +447,22 @@ let prop_batch_buffer_ownership
     rest.(i) <- rest.(j);
     rest.(j) <- t
   done;
-  let mix = Array.append (Array.of_list front) rest in
-  let passed = Obs.Metrics.counter "edc_tpdus_passed_total" in
-  let failed = Obs.Metrics.counter "edc_tpdus_failed_total" in
-  let run ~scribble =
+  Array.append (Array.of_list front) rest
+
+let scribble srng p =
+  Bytes.iteri (fun j _ -> Bytes.set p j (Char.chr (Random.State.int srng 256))) p
+
+let m_passed = Obs.Metrics.counter "edc_tpdus_passed_total"
+let m_failed = Obs.Metrics.counter "edc_tpdus_failed_total"
+
+(* Ownership contract of [ingest_batch]: once it returns, the caller
+   owns the packet buffers again and may reuse them.  Overwriting every
+   packet of each batch with random bytes right after the call must
+   leave delivery, the ACKs sent (one per verified TPDU) and the
+   verifier's pass/fail counts exactly as in an untouched run. *)
+let prop_batch_buffer_ownership (case, batch, scribble_seed) =
+  let mix = ownership_mix case in
+  let run ~scribble:scribbling =
     let acks = ref [] in
     let engine = Netsim.Engine.create ~seed:42 () in
     let m =
@@ -456,7 +471,7 @@ let prop_batch_buffer_ownership
         ~send_ack:(fun b -> acks := Bytes.copy b :: !acks)
         ()
     in
-    let p0 = Obs.Metrics.value passed and f0 = Obs.Metrics.value failed in
+    let p0 = Obs.Metrics.value m_passed and f0 = Obs.Metrics.value m_failed in
     let srng = Random.State.make [| scribble_seed |] in
     let n = Array.length mix in
     let i = ref 0 in
@@ -465,19 +480,13 @@ let prop_batch_buffer_ownership
       (* each packet in a buffer of its own, handed over for the call *)
       let b = Array.init k (fun j -> Bytes.copy mix.(!i + j)) in
       Transport.Multi.ingest_batch m b;
-      if scribble then
-        Array.iter
-          (fun p ->
-            Bytes.iteri
-              (fun j _ -> Bytes.set p j (Char.chr (Random.State.int srng 256)))
-              p)
-          b;
+      if scribbling then Array.iter (scribble srng) b;
       i := !i + k
     done;
     ( m,
       List.rev !acks,
-      Obs.Metrics.value passed - p0,
-      Obs.Metrics.value failed - f0,
+      Obs.Metrics.value m_passed - p0,
+      Obs.Metrics.value m_failed - f0,
       (Transport.Multi.stats m).overlap )
   in
   let m_a, acks_a, pass_a, fail_a, os_a = run ~scribble:false in
@@ -489,7 +498,113 @@ let prop_batch_buffer_ownership
 let prop_ownership =
   QCheck2.Test.make
     ~name:"ingest_batch: scribbling returned packet buffers changes nothing"
-    ~count:80 gen_ownership_case prop_batch_buffer_ownership
+    ~count:80 (gen_ownership_case ~max_conns:3) prop_batch_buffer_ownership
+
+(* The same contract for the single receiver, the path under
+   [Chunk_transport.run]: it reads labels and payloads in place, so
+   anything it keeps past [ingest] (stash entries, quarantined runs,
+   placed bytes) must have been copied out of the packet. *)
+let prop_receiver_buffer_ownership (case, _, scribble_seed) =
+  let mix = ownership_mix case in
+  let run ~scribble:scribbling =
+    let acks = ref [] in
+    let engine = Netsim.Engine.create ~seed:42 () in
+    let rx =
+      CT.Receiver.create engine multi_config
+        ~send_ack:(fun b -> acks := Bytes.copy b :: !acks)
+        ~capacity:(`Quota 4096) ()
+    in
+    let srng = Random.State.make [| scribble_seed |] in
+    Array.iter
+      (fun p ->
+        let b = Bytes.copy p in
+        CT.Receiver.ingest rx b;
+        if scribbling then scribble srng b)
+      mix;
+    ( Bytes.copy (CT.Receiver.contents rx),
+      CT.Receiver.complete rx,
+      List.rev !acks,
+      CT.Receiver.verifier_stats rx,
+      CT.Receiver.stats rx )
+  in
+  let buf_a, done_a, acks_a, vs_a, st_a = run ~scribble:false in
+  let buf_b, done_b, acks_b, vs_b, st_b = run ~scribble:true in
+  Bytes.equal buf_a buf_b && done_a = done_b
+  && List.equal Bytes.equal acks_a acks_b
+  && vs_a = vs_b && st_a = st_b
+
+let prop_receiver_ownership =
+  QCheck2.Test.make
+    ~name:"Receiver.ingest: scribbling returned packet buffers changes nothing"
+    ~count:80 (gen_ownership_case ~max_conns:1) prop_receiver_buffer_ownership
+
+(* --- allocation on the payload-free paths -------------------------- *)
+
+(* An Open for connection [conn] and one packet carrying a whole sealed
+   TPDU of [nbytes]: its data chunk, then its ED chunk. *)
+let tpdu_packet ~conn nbytes =
+  let framer =
+    Framer.create ~elem_size:4 ~tpdu_elems:(nbytes / 4) ~conn_id:conn ()
+  in
+  let chunks =
+    Result.get_ok (Framer.push_frame framer (Util.deterministic_bytes nbytes))
+  in
+  let packet cs = Result.get_ok (Wire.encode_packet cs) in
+  ( packet [ Connection.signal_chunk ~conn_id:conn (Open { first_csn = 0 }) ],
+    packet (Result.get_ok (Edc.Encoder.seal_tpdus chunks)) )
+
+(* Minor words of one more arrival of [p] once [feed p] has run twice:
+   the TPDU's first delivery, then a re-offer that warms the re-ACK
+   throttle. *)
+let steady_words feed p =
+  feed p;
+  feed p;
+  Util.minor_words_of (fun () -> feed p)
+
+(* Neither outcome reads a payload byte — a re-offered verified TPDU is
+   re-ACKed, traffic for an unknown connection is dropped — so neither
+   may cost more for a bigger payload, and both stay within a few words
+   per packet: labels are read in the packet, no chunk is built. *)
+let test_payload_free_allocation () =
+  let multi_reoffer nbytes =
+    let m = mk_multi () in
+    let open_p, p = tpdu_packet ~conn:1 nbytes in
+    Transport.Multi.ingest m open_p;
+    let w = steady_words (Transport.Multi.ingest m) p in
+    Alcotest.(check int) "the verified TPDU is re-ACKed, throttled" 1
+      (Transport.Multi.stats m).reacks_sent;
+    w
+  in
+  let multi_unknown nbytes =
+    let m = mk_multi () in
+    steady_words (Transport.Multi.ingest m) (snd (tpdu_packet ~conn:9 nbytes))
+  in
+  let receiver_reoffer nbytes =
+    let engine = Netsim.Engine.create ~seed:42 () in
+    let rx =
+      CT.Receiver.create engine multi_config
+        ~send_ack:(fun _ -> ())
+        ~capacity:(`Quota 4096) ()
+    in
+    let w = steady_words (CT.Receiver.ingest rx) (snd (tpdu_packet ~conn:1 nbytes)) in
+    Alcotest.(check int) "the TPDU verified once" 1
+      (CT.Receiver.verifier_stats rx).Edc.Verifier.tpdus_passed;
+    w
+  in
+  List.iter
+    (fun (what, words, bound) ->
+      let small = words 32 and big = words 2048 in
+      Alcotest.(check (float 0.0))
+        (what ^ ": 2 KiB payload costs what 32 bytes cost")
+        small big;
+      if big > bound then
+        Alcotest.failf "%s: %.0f minor words per packet, bound %.0f" what big
+          bound)
+    [
+      ("Multi re-offer", multi_reoffer, 24.0);
+      ("Multi unknown connection", multi_unknown, 0.0);
+      ("Receiver re-offer", receiver_reoffer, 16.0);
+    ]
 
 (* --- ingest_batch edges ------------------------------------------- *)
 
@@ -674,6 +789,9 @@ let suite =
     QCheck_alcotest.to_alcotest prop_scan_images;
     QCheck_alcotest.to_alcotest prop_permuted_mix;
     QCheck_alcotest.to_alcotest prop_ownership;
+    QCheck_alcotest.to_alcotest prop_receiver_ownership;
+    Alcotest.test_case "payload-free paths allocate independently of payload"
+      `Quick test_payload_free_allocation;
     Alcotest.test_case "ingest_batch of an empty batch" `Quick test_batch_empty;
     Alcotest.test_case "ingest_batch of singleton batches" `Quick
       test_batch_single_packet;
