@@ -173,8 +173,8 @@ type observation = {
   permuted : permuted_obs option;  (* present iff the schedule overlaps *)
   (* flow-cache fast path *)
   fastpath_stats : Transport.Flowcache.stats;
-      (* both cache layers summed, across crash incarnations; all zero
-         on slow-path runs *)
+      (* connection-cache counters, across crash incarnations; all zero
+         on slow-path and single-connection runs *)
   coherence : coherence_obs option;
       (* present iff the schedule ran the fast path *)
   byz : byz_obs option;  (* present iff the schedule runs the adversary *)
@@ -585,16 +585,12 @@ let forge_clobber b =
                   | Ok p1, Ok p2 -> Some [ p1; p2 ]
                   | _ -> None))))
 
-(* Every schedule is delivered through [ingest]; a schedule without the
-   fast path gets capacity-0 flow caches, the cache-off reference the
-   [fastpath-coherence] row compares a fastpath run against. *)
+(* Every schedule is delivered through [ingest]; a multi-connection
+   schedule without the fast path gets a capacity-0 connection cache,
+   the cache-off reference the [fastpath-coherence] row compares a
+   fastpath run against.  A single receiver has no cache. *)
 let reference_slots (s : Schedule.t) =
   if s.Schedule.fastpath then None else Some 0
-
-let reference_fcache s =
-  Option.map
-    (fun slots -> Transport.Flowcache.create ~name:"tpdu" ~slots ())
-    (reference_slots s)
 
 let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   let config = Schedule.config_of s in
@@ -665,7 +661,7 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   in
   let rx =
     CT.Receiver.create engine config ?persist:persist_opt
-      ?fcache:(reference_fcache s) ~send_ack:reverse_send
+      ~send_ack:reverse_send
       ~capacity:(`Exact expected_elems) ()
   in
   receiver := Some rx;
@@ -673,7 +669,7 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
   let absorb_rx rx =
     absorb ct ~rx:(CT.Receiver.stats rx)
       ~verifier:(CT.Receiver.verifier_stats rx)
-      ~fastpath:(CT.Receiver.fastpath_stats rx)
+      ~fastpath:Transport.Flowcache.zero_stats
       (CT.Receiver.governor_stats rx)
   in
   schedule_snapshots engine s store (fun () ->
@@ -721,7 +717,7 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
         | Persist.Single si ->
             let rx =
               CT.Receiver.restore engine config ?persist:persist_opt
-                ?fcache:(reference_fcache s) ~send_ack:reverse_send
+                ~send_ack:reverse_send
                 ~capacity:(`Exact expected_elems)
                 si.Persist.s_rx ~acked_tids:si.Persist.s_acked
             in
@@ -944,11 +940,8 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
      aggregate exists; the oracle's verifier-stats checks are
      single-path only. *)
   let absorb_multi m =
-    let f = Transport.Multi.fastpath_stats m in
     absorb ct ~rx:(Transport.Multi.stats m) ~verifier:Edc.Verifier.zero_stats
-      ~fastpath:
-        (Transport.Flowcache.add_stats f.Transport.Multi.fp_conn
-           f.Transport.Multi.fp_tpdu)
+      ~fastpath:(Transport.Multi.fastpath_stats m).Transport.Multi.fp_conn
       (Transport.Multi.governor_stats m)
   in
   schedule_snapshots engine s store (fun () ->

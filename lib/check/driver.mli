@@ -199,8 +199,9 @@ type observation = {
   overlap_injected : int;  (** overlap-adversary packets put on the wire *)
   permuted : permuted_obs option;  (** present iff the schedule overlaps *)
   fastpath_stats : Transport.Flowcache.stats;
-      (** flow-cache counters, both layers summed, accumulated across
-          crash incarnations; all zero on slow-path runs *)
+      (** connection-cache counters ({!Transport.Multi.fastpath_stats}),
+          accumulated across crash incarnations; all zero on slow-path
+          and single-connection runs *)
   coherence : coherence_obs option;
       (** present iff the schedule ran the fast path *)
   byz : byz_obs option;  (** present iff the schedule runs the adversary *)

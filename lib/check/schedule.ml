@@ -135,10 +135,11 @@ type t = {
   crashes : crash list;
   snap_period : float;  (** full-snapshot interval; 0 = ACK-journal only *)
   fastpath : bool;
-      (** deliver through [Multi.ingest] / [Receiver.ingest] with the
-          flow caches on (off = capacity-0 caches, the cache-off
-          reference); the [fastpath-coherence] oracle row re-runs the
-          schedule with the cache off and demands identical outcomes *)
+      (** deliver through [Multi.ingest] with the connection cache on
+          (off = a capacity-0 cache, the cache-off reference; a single
+          receiver has no cache); the [fastpath-coherence] oracle row
+          re-runs the schedule with the cache off and demands identical
+          outcomes *)
   byz : byz option;
       (** a wire-conformant but protocol-violating peer; the
           [blast-radius] oracle row re-runs the schedule with this peer

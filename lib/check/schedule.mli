@@ -54,7 +54,7 @@ type profile =
   | Fastpath_hostile
       (** the flow-cache fast path under hostile fire: every packet is
           delivered through {!Transport.Multi.ingest} /
-          {!Transport.Chunk_transport.Receiver.ingest} with the caches
+          {!Transport.Chunk_transport.Receiver.ingest} with the cache
           on while corruption, loss, duplication and congestion drops
           attack the cached label prefixes, with a mix of single- and
           multi-connection runs (sometimes with C.ID reuse) churning the
@@ -184,9 +184,11 @@ type t = {
   snap_period : float;
       (** full-snapshot interval, seconds; 0 = ACK journalling only *)
   fastpath : bool;
-      (** run the receiver's flow caches; without it, packets still
-          go through [ingest], but over capacity-0 caches — the
-          cache-off reference.  Any schedule may draw it, and the
+      (** run {!Transport.Multi}'s connection cache; without it,
+          packets still go through [ingest], but over a capacity-0
+          cache — the cache-off reference.  Only multi-connection
+          schedules have a cache: on a single-connection schedule the
+          flag changes nothing.  Any schedule may draw it, and the
           [fastpath-coherence] oracle row re-runs the schedule with the
           cache off and demands identical outcomes *)
   byz : byz option;

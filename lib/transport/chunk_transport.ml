@@ -234,6 +234,30 @@ module Receiver = struct
            with the epoch otherwise *)
   }
 
+  (* A TPDU in flight.  Its pieces live differently: a failed epoch
+     drops [corrob] and [end_claim] (the last C.SN a C.ST bit claimed);
+     [first_arrival] survives that, so latency spans the retransmission,
+     but not an eviction or abort; [nack_armed] outlives all of them
+     until the gap timer next fires.  An empty record leaves the
+     table. *)
+  type live = {
+    mutable first_arrival : float;  (* [nan]: none *)
+    mutable nack_armed : bool;
+    mutable end_claim : int option;
+    mutable corrob : corroboration option;
+  }
+
+  (* One TPDU's state in this epoch, found by its T.ID in one lookup.
+     The connection's ledger ([acked]) says whether a TPDU is
+     acknowledged, and is asked first; [Acked] only holds the re-ACK
+     throttle clock of a TPDU re-ACKed at least once.  A [Shed] TPDU's
+     late chunks are dropped; its clock is [neg_infinity] before the
+     first re-ACK. *)
+  type tpdu =
+    | Live of live
+    | Acked of { mutable last_reack : float }
+    | Shed of { mutable last_reack : float }
+
   type t = {
     engine : Netsim.Engine.t;
     config : config;
@@ -243,10 +267,8 @@ module Receiver = struct
     placement : Placement.t;
     capacity : [ `Exact of int | `Quota of int ];
     governor : Governor.t;
-    first_arrival : (int, float) Hashtbl.t;  (* t_id -> time *)
-    acked : (int, unit) Hashtbl.t;  (* TPDUs already acknowledged *)
-    nack_armed : (int, unit) Hashtbl.t;  (* TPDUs with a gap timer *)
-    corrob : (int, corroboration) Hashtbl.t;
+    acked : (int, unit) Hashtbl.t;  (* ACK ledger; outlives the epoch *)
+    tpdus : (int, tpdu) Hashtbl.t;
     (* element runs covered by TPDUs that passed verification — bytes a
        failed TPDU placed before its parity caught up do not count
        toward completeness (they will be re-placed by the
@@ -254,17 +276,13 @@ module Receiver = struct
     verified_cover : Vreassembly.t;
     (* element runs deliberately given up by the sender (Shed_tpdu):
        they count toward stream completion — the degradation contract —
-       but never toward verified delivery, and late chunks for a shed
-       TPDU are dropped rather than re-admitted to the verifier *)
+       but never toward verified delivery *)
     shed_cover : Vreassembly.t;
-    shed_tids : (int, unit) Hashtbl.t;
     (* stream-end bookkeeping (`Quota mode): the C.ST bit names the
        connection's final element, but is believed only once the TPDU
        that carried it verifies — a forged or corrupted C.ST must not
        truncate the stream *)
-    end_claims : (int, int) Hashtbl.t;  (* t_id -> last C.SN claimed *)
     mutable end_confirmed : int option;
-    last_reack : (int, float) Hashtbl.t;
     element_delay : Netsim.Stats.t;
     tpdu_latency : Netsim.Stats.t;
     (* the receiver fields of [Rx_stats], kept inline so a receiver
@@ -290,42 +308,74 @@ module Receiver = struct
        from the data labels alone, for epochs whose Open died in
        flight *)
     mutable ident_min : int;
-    (* fast path (DESIGN §7): per-TPDU flow cache keyed
-       (C.ID, T.ID) holding the corroborated C.SN - T.SN delta.  An
-       entry exists only while every premise the trimmed dispatch skips
-       re-checking holds — corroboration confirmed, TPDU neither acked
-       nor shed, arrival record present, gap timer armed (sack mode) —
-       so each state transition that breaks one of those premises
-       invalidates eagerly.  Shareable across epochs (Multi passes one
-       cache to every receiver it creates); entries are keyed by C.ID so
-       epoch turnover only has to invalidate its own connection's
-       rows. *)
-    fcache : int Flowcache.t;
     scan : Wire.Scan.t;
   }
 
   let gov_key rx t_id = { Governor.conn = rx.config.conn_id; tpdu = t_id }
 
-  let invalidate_l1 rx t_id =
-    Flowcache.invalidate rx.fcache ~k1:rx.config.conn_id ~k2:t_id
+  let add_live rx t_id =
+    let l =
+      { first_arrival = nan; nack_armed = false; end_claim = None;
+        corrob = None }
+    in
+    Hashtbl.replace rx.tpdus t_id (Live l);
+    l
 
-  (* Dispose of every piece of per-TPDU soft state (verifier
-     accumulator, corroboration stash, arrival record).  The governor's
-     account is the caller's responsibility: the eviction callback has
-     already been debited, the abort path has not. *)
+  (* [l], the record of [t_id], leaves the table once it holds nothing. *)
+  let retire rx t_id l =
+    match l with
+    | { corrob = None; end_claim = None; nack_armed = false; first_arrival }
+      when Float.is_nan first_arrival ->
+        Hashtbl.remove rx.tpdus t_id
+    | _ -> ()
+
+  let corroboration rx t_id =
+    match Hashtbl.find_opt rx.tpdus t_id with
+    | Some (Live l) -> l.corrob
+    | Some (Acked _ | Shed _) | None -> None
+
+  (* The placed bytes of element runs [(c_sn, elems)], as [(c_sn, bytes)]
+     copies; runs outside the buffer are skipped. *)
+  let copy_runs rx runs =
+    let es = rx.config.elem_size in
+    let buf = Placement.contents rx.placement in
+    List.filter_map
+      (fun (sn, len) ->
+        let off = sn * es and n = len * es in
+        if off >= 0 && n > 0 && off + n <= Bytes.length buf then
+          Some (sn, Bytes.sub buf off n)
+        else None)
+      runs
+
+  (* TPDUs holding verifier or corroboration state. *)
+  let tracked_ids rx =
+    List.sort_uniq compare
+      (Edc.Verifier.in_flight_ids rx.verifier
+      @ Hashtbl.fold
+          (fun k e acc ->
+            match e with Live { corrob = Some _; _ } -> k :: acc | _ -> acc)
+          rx.tpdus [])
+
+  (* Dispose of every piece of per-TPDU soft state but the gap timer's
+     flag, which the timer clears itself at its next firing.  The
+     governor's account is the caller's responsibility: the eviction
+     callback has already been debited, the abort path has not. *)
   let drop_tpdu_state rx t_id =
-    invalidate_l1 rx t_id;
     ignore (Edc.Verifier.abandon rx.verifier ~t_id);
-    Hashtbl.remove rx.corrob t_id;
-    Hashtbl.remove rx.first_arrival t_id;
-    Hashtbl.remove rx.end_claims t_id
+    match Hashtbl.find_opt rx.tpdus t_id with
+    | Some (Live l) ->
+        l.corrob <- None;
+        l.end_claim <- None;
+        l.first_arrival <- nan;
+        retire rx t_id l
+    | Some (Acked _ | Shed _) | None -> ()
 
   let evict rx ~t_id =
     drop_tpdu_state rx t_id;
     rx.evictions <- rx.evictions + 1
 
   let create engine config ?(bus = Busmodel.create ()) ?governor ?acked
-      ?persist ?fcache ~send_ack ~capacity () =
+      ?persist ~send_ack ~capacity () =
     validate_config config;
     let capacity_elems =
       match capacity with `Exact n | `Quota n -> n
@@ -350,16 +400,11 @@ module Receiver = struct
             ~elem_size:config.elem_size;
         capacity;
         governor;
-        first_arrival = Hashtbl.create 32;
         acked = (match acked with Some t -> t | None -> Hashtbl.create 32);
-        nack_armed = Hashtbl.create 32;
-        corrob = Hashtbl.create 32;
+        tpdus = Hashtbl.create 32;
         verified_cover = Vreassembly.create ();
         shed_cover = Vreassembly.create ();
-        shed_tids = Hashtbl.create 8;
-        end_claims = Hashtbl.create 4;
         end_confirmed = None;
-        last_reack = Hashtbl.create 8;
         element_delay = Netsim.Stats.create ();
         tpdu_latency = Netsim.Stats.create ();
         nacks_sent = 0;
@@ -372,10 +417,6 @@ module Receiver = struct
         persist;
         restored_passes = 0;
         ident_min = max_int;
-        fcache =
-          (match fcache with
-          | Some fc -> fc
-          | None -> Flowcache.create ~name:"tpdu" ~slots:512 ());
         scan = Wire.Scan.create ();
       }
     in
@@ -389,7 +430,7 @@ module Receiver = struct
      application buffer — spatial reordering, one pass, no intermediate
      copy.  Only a run that must wait in quarantine is copied out, into
      a sub-chunk of its own. *)
-  let place_fresh rx (h : Header.t) buf poff ~t_sn ~elems =
+  let place_fresh rx m (h : Header.t) buf poff ~t_sn ~elems =
     let off_elems = t_sn - h.Header.t.Ftuple.sn in
     let size = h.Header.size in
     let c_sn = h.Header.c.Ftuple.sn + off_elems in
@@ -404,49 +445,39 @@ module Receiver = struct
         ~conn:h.Header.c.Ftuple.id ~tpdu:t_id buf ~off ~len:elems
     with
     | Ok rep ->
-        (match Hashtbl.find_opt rx.corrob t_id with
-        | Some m ->
-            (* only bytes this TPDU actually covers (fresh writes and
-               identical duplicates) are credited; conflicting runs
-               either lost to a verified owner (discarded by placement)
-               or wait in quarantine for this TPDU's parity *)
-            m.placed_runs <-
-              rep.Placement.rp_fresh @ rep.Placement.rp_benign @ m.placed_runs;
-            if
-              List.exists
-                (fun (_, _, k) -> k = Placement.Fresh_conflict)
-                rep.Placement.rp_conflicts
-            then begin
-              match
-                Chunk.data ~size
-                  ~c:(Ftuple.v ~id:h.Header.c.Ftuple.id ~sn:c_sn ())
-                  ~t:(Ftuple.v ~id:t_id ~sn:t_sn ())
-                  ~x:h.Header.x
-                  (Bytes.sub buf off nbytes)
-              with
-              | Ok sub -> m.quarantine <- (sub, c_sn, elems) :: m.quarantine
-              | Error _ -> ()
-            end
-        | None -> ());
+        (* only bytes this TPDU actually covers (fresh writes and
+           identical duplicates) are credited; conflicting runs either
+           lost to a verified owner (discarded by placement) or wait in
+           quarantine for this TPDU's parity *)
+        m.placed_runs <-
+          rep.Placement.rp_fresh @ rep.Placement.rp_benign @ m.placed_runs;
+        (if
+           List.exists
+             (fun (_, _, k) -> k = Placement.Fresh_conflict)
+             rep.Placement.rp_conflicts
+         then
+           match
+             Chunk.data ~size
+               ~c:(Ftuple.v ~id:h.Header.c.Ftuple.id ~sn:c_sn ())
+               ~t:(Ftuple.v ~id:t_id ~sn:t_sn ())
+               ~x:h.Header.x
+               (Bytes.sub buf off nbytes)
+           with
+           | Ok sub -> m.quarantine <- (sub, c_sn, elems) :: m.quarantine
+           | Error _ -> ());
         (* Available to the application the instant it arrived. *)
         Netsim.Stats.add rx.element_delay 0.0
     | Error _ -> ()
 
-  let corrob rx t_id =
-    match Hashtbl.find_opt rx.corrob t_id with
+  let corrob_of l =
+    match l.corrob with
     | Some m -> m
     | None ->
         let m =
-          {
-            delta_data = None;
-            delta_ed = None;
-            confirmed = false;
-            stash = [];
-            placed_runs = [];
-            quarantine = [];
-          }
+          { delta_data = None; delta_ed = None; confirmed = false;
+            stash = []; placed_runs = []; quarantine = [] }
         in
-        Hashtbl.add rx.corrob t_id m;
+        l.corrob <- Some m;
         m
 
   let flush_stash rx m =
@@ -454,7 +485,7 @@ module Receiver = struct
     m.stash <- [];
     List.iter
       (fun (c, t_sn, elems) ->
-        place_fresh rx c.Chunk.header c.Chunk.payload 0 ~t_sn ~elems)
+        place_fresh rx m c.Chunk.header c.Chunk.payload 0 ~t_sn ~elems)
       pending
 
   (* Note the chunk's connection delta before the verifier sees it, so
@@ -462,10 +493,10 @@ module Receiver = struct
      it may trigger.  First witness wins within an epoch: a conflicting
      later chunk fails the TPDU in the verifier, which clears the
      epoch's state here too. *)
-  let witness rx (h : Header.t) =
+  let witness rx l (h : Header.t) =
     let is_ed = Ctype.equal h.Header.ctype Ctype.ed in
     if Ctype.is_data h.Header.ctype || is_ed then begin
-      let m = corrob rx h.Header.t.Ftuple.id in
+      let m = corrob_of l in
       if not m.confirmed then begin
         let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
         if is_ed then begin
@@ -486,21 +517,19 @@ module Receiver = struct
      the simulation alive forever. *)
   let max_nack_rounds = 200
 
-  (* Disarming the gap timer breaks the fast path's "sack implies a
-     timer is armed" premise, so each exit invalidates the TPDU's cache
-     row — otherwise a cached dispatch would skip the re-arm the slow
-     path performs. *)
   let rec arm_nack rx t_id rounds =
     Netsim.Engine.schedule rx.engine ~delay:rx.config.nack_delay (fun () ->
-        if rounds >= max_nack_rounds || Hashtbl.mem rx.acked t_id then begin
-          invalidate_l1 rx t_id;
-          Hashtbl.remove rx.nack_armed t_id
-        end
-        else
-        match Edc.Verifier.missing rx.verifier ~t_id with
-        | None ->
-            invalidate_l1 rx t_id;
-            Hashtbl.remove rx.nack_armed t_id (* verified or dropped *)
+        match
+          if rounds >= max_nack_rounds || Hashtbl.mem rx.acked t_id then None
+          else Edc.Verifier.missing rx.verifier ~t_id
+        with
+        | None -> (
+            (* verified, dropped or given up: disarm *)
+            match Hashtbl.find_opt rx.tpdus t_id with
+            | Some (Live l) ->
+                l.nack_armed <- false;
+                retire rx t_id l
+            | Some (Acked _ | Shed _) | None -> ())
         | Some spans ->
             let need_ed = not (Edc.Verifier.ed_seen rx.verifier ~t_id) in
             if spans <> [] || need_ed then begin
@@ -511,14 +540,14 @@ module Receiver = struct
             end;
             arm_nack rx t_id (rounds + 1))
 
-  (* Re-assert the receiver's accounted cost of one TPDU's soft state
-     and refresh its delta-t deadline.  Called after every chunk that
-     touched the TPDU; once verification has released everything the
-     entry is retired instead. *)
-  let account rx t_id =
+  (* Re-assert the accounted cost of one TPDU's soft state ([corrob] is
+     its corroboration record, if any) and refresh its delta-t deadline.
+     Called after every chunk that touched the TPDU; once verification
+     has released everything the entry is retired instead. *)
+  let account rx t_id corrob =
     let fp = Edc.Verifier.footprint_bytes rx.verifier ~t_id in
     let stash =
-      match Hashtbl.find_opt rx.corrob t_id with
+      match corrob with
       | None -> 0
       | Some m ->
           let held acc (c, _, _) = acc + Bytes.length c.Chunk.payload + 48 in
@@ -539,18 +568,34 @@ module Receiver = struct
       Governor.arm rx.governor rx.engine
     end
 
+  (* Whether this receiver holds a verifier accumulator or corroboration
+     record for [t_id] (an armed gap timer alone does not count): the
+     demultiplexer tells a chunk of an in-flight TPDU from traffic with
+     a label this epoch has never seen by it. *)
+  let tracks_tpdu rx ~t_id =
+    Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
+    || Option.is_some (corroboration rx t_id)
+
   (* A sender that abandoned a TPDU says so (give-up is signalled, not
      silent): release the partial state instead of waiting for the
      deadline sweep to find it. *)
   let abort_tpdu rx ~t_id =
-    if
-      Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
-      || Hashtbl.mem rx.corrob t_id
-    then begin
+    if tracks_tpdu rx ~t_id then begin
       drop_tpdu_state rx t_id;
       Governor.remove rx.governor ~key:(gov_key rx t_id);
       rx.aborts_received <- rx.aborts_received + 1
     end
+
+  let send_reack rx t_id =
+    let now = Netsim.Engine.now rx.engine in
+    (match Hashtbl.find_opt rx.tpdus t_id with
+    | Some (Acked r) -> r.last_reack <- now
+    | Some (Shed r) -> r.last_reack <- now
+    | Some (Live _) | None ->
+        Hashtbl.replace rx.tpdus t_id (Acked { last_reack = now }));
+    rx.reacks_sent <- rx.reacks_sent + 1;
+    if Obs.enabled then Obs.Metrics.incr m_reacks;
+    rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
 
   (* An already-verified TPDU whose traffic keeps arriving means the
      sender never heard the ACK (a lossy or black-holed reverse path):
@@ -558,18 +603,11 @@ module Receiver = struct
      to a wall until it gives up.  Throttled per TPDU so a duplication
      storm does not become an ACK storm. *)
   let re_ack rx t_id =
-    let now = Netsim.Engine.now rx.engine in
-    let due =
-      match Hashtbl.find_opt rx.last_reack t_id with
-      | Some last -> now -. last >= rx.config.nack_delay
-      | None -> true
-    in
-    if due then begin
-      Hashtbl.replace rx.last_reack t_id now;
-      rx.reacks_sent <- rx.reacks_sent + 1;
-      if Obs.enabled then Obs.Metrics.incr m_reacks;
-      rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
-    end
+    match Hashtbl.find_opt rx.tpdus t_id with
+    | Some (Acked { last_reack } | Shed { last_reack })
+      when Netsim.Engine.now rx.engine -. last_reack < rx.config.nack_delay ->
+        ()
+    | Some _ | None -> send_reack rx t_id
 
   (* The sender deliberately abandoned a sheddable TPDU (partial
      reliability).  Honoured only when this receiver's own classifier
@@ -579,64 +617,62 @@ module Receiver = struct
      lost ACK changes nothing: the bytes are already delivered).  The
      span joins [shed_cover] so completion can proceed without it. *)
   let shed_tpdu rx ~t_id ~first_elem ~elems =
-    if Hashtbl.mem rx.acked t_id || Hashtbl.mem rx.shed_tids t_id then
-      (* a shed racing a lost ACK, or a duplicated shed signal: the
-         sender is still retrying, so re-acknowledge (throttled) *)
-      re_ack rx t_id
-    else if Significance.sheddable (rx.config.classify t_id) then begin
-      drop_tpdu_state rx t_id;
-      Governor.remove rx.governor ~key:(gov_key rx t_id);
-      Hashtbl.replace rx.shed_tids t_id ();
-      if t_id < rx.ident_min then rx.ident_min <- t_id;
-      (match
-         Vreassembly.insert_new rx.shed_cover ~sn:first_elem ~len:elems
-           ~st:false
-       with
-      | Ok _ | Error `Inconsistent -> ());
-      rx.sheds_received <- rx.sheds_received + 1;
-      rx.shed_elems <- rx.shed_elems + elems;
-      if Obs.enabled then begin
-        Obs.Metrics.incr m_sheds_received;
-        Obs.Metrics.add m_shed_bytes (elems * rx.config.elem_size);
-        if Obs.Trace.active () then
-          Obs.Trace.record
-            (Obs.Trace.Shed
-               {
-                 conn = rx.config.conn_id;
-                 tpdu = t_id;
-                 elems;
-                 cls = Significance.to_string (rx.config.classify t_id);
-               })
-            ~time:(Netsim.Engine.now rx.engine)
-      end;
-      (* the shed is acknowledged like a verified TPDU — the sender
-         stops retrying the signal once this lands; deliberately NOT
-         counted as a fresh verification ACK (the metrics-verify-count
-         oracle check demands acks track verified TPDUs one-for-one) *)
-      rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
-    end
-    else
-      (* the local classifier says this TPDU is not sheddable: a forged
-         (or misclassified) shed of Critical/Normal traffic.  Refused
-         silently — honouring it would truncate the stream — but
-         counted, so the demultiplexer's anomaly accounting can see how
-         often this connection is named by forged sheds *)
-      rx.sheds_refused <- rx.sheds_refused + 1
+    match Hashtbl.find_opt rx.tpdus t_id with
+    (* a duplicated shed signal, or a shed racing a lost ACK: the
+       sender is still retrying, so re-acknowledge (throttled) *)
+    | Some (Shed _) -> re_ack rx t_id
+    | _ when Hashtbl.mem rx.acked t_id -> re_ack rx t_id
+    | _ when not (Significance.sheddable (rx.config.classify t_id)) ->
+        (* the local classifier says this TPDU is not sheddable: a
+           forged (or misclassified) shed of Critical/Normal traffic.
+           Refused silently — honouring it would truncate the stream —
+           but counted, so the demultiplexer's anomaly accounting can
+           see how often this connection is named by forged sheds *)
+        rx.sheds_refused <- rx.sheds_refused + 1
+    | prior ->
+        let last_reack =
+          match prior with Some (Acked r) -> r.last_reack | _ -> neg_infinity
+        in
+        drop_tpdu_state rx t_id;
+        Governor.remove rx.governor ~key:(gov_key rx t_id);
+        Hashtbl.replace rx.tpdus t_id (Shed { last_reack });
+        if t_id < rx.ident_min then rx.ident_min <- t_id;
+        (match
+           Vreassembly.insert_new rx.shed_cover ~sn:first_elem ~len:elems
+             ~st:false
+         with
+        | Ok _ | Error `Inconsistent -> ());
+        rx.sheds_received <- rx.sheds_received + 1;
+        rx.shed_elems <- rx.shed_elems + elems;
+        if Obs.enabled then begin
+          Obs.Metrics.incr m_sheds_received;
+          Obs.Metrics.add m_shed_bytes (elems * rx.config.elem_size);
+          if Obs.Trace.active () then
+            Obs.Trace.record
+              (Obs.Trace.Shed
+                 {
+                   conn = rx.config.conn_id;
+                   tpdu = t_id;
+                   elems;
+                   cls = Significance.to_string (rx.config.classify t_id);
+                 })
+              ~time:(Netsim.Engine.now rx.engine)
+        end;
+        (* the shed is acknowledged like a verified TPDU — the sender
+           stops retrying the signal once this lands; deliberately NOT
+           counted as a fresh verification ACK (the metrics-verify-count
+           oracle check demands acks track verified TPDUs one-for-one) *)
+        rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
 
   (* Release every piece of soft state at once (connection close): the
      governor account is cleared entry by entry so a shared governor
      keeps other connections' entries intact. *)
   let quiesce rx =
-    let ids =
-      List.sort_uniq compare
-        (Edc.Verifier.in_flight_ids rx.verifier
-        @ Hashtbl.fold (fun k _ acc -> k :: acc) rx.corrob [])
-    in
     List.iter
       (fun t_id ->
         drop_tpdu_state rx t_id;
         Governor.remove rx.governor ~key:(gov_key rx t_id))
-      ids
+      (tracked_ids rx)
 
   let on_signal rx chunk =
     match Connection.parse_signal chunk with
@@ -648,13 +684,14 @@ module Receiver = struct
         shed_tpdu rx ~t_id ~first_elem ~elems
     | Ok _ | Error _ -> ()
 
-  (* A TPDU passed: place what it still holds, settle its quarantine,
-     lock its bytes and acknowledge it (once per T.ID). *)
-  let tpdu_passed rx t_id =
+  (* TPDU [t_id], in flight as [l], passed: place what it still holds,
+     settle its quarantine, lock its bytes and acknowledge it (once per
+     T.ID).  From here on the ledger speaks for it. *)
+  let tpdu_passed rx t_id l =
     (* a passed parity covers every stashed run, so any still-unconfirmed
        stash is safe to place now *)
     let placed_runs =
-      match Hashtbl.find_opt rx.corrob t_id with
+      match l.corrob with
       | Some m ->
           flush_stash rx m;
           (* the parity settles this TPDU's quarantined conflicts:
@@ -684,72 +721,50 @@ module Receiver = struct
           m.placed_runs
       | None -> []
     in
-    (* verification acks the TPDU: the cached premise "not yet
-       acknowledged" just broke *)
-    invalidate_l1 rx t_id;
-    Hashtbl.remove rx.corrob t_id;
-    (match Hashtbl.find_opt rx.end_claims t_id with
-    | Some last ->
-        rx.end_confirmed <- Some last;
-        Hashtbl.remove rx.end_claims t_id
-    | None -> ());
+    l.corrob <- None;
+    (match l.end_claim with Some _ as e -> rx.end_confirmed <- e | None -> ());
+    Hashtbl.remove rx.tpdus t_id;
     if not (Hashtbl.mem rx.acked t_id) then begin
       Hashtbl.add rx.acked t_id ();
       if t_id < rx.ident_min then rx.ident_min <- t_id;
       if Obs.enabled then Obs.Metrics.incr m_acks;
-      (match Hashtbl.find_opt rx.first_arrival t_id with
-      | Some t0 ->
-          let dt = Netsim.Engine.now rx.engine -. t0 in
-          Netsim.Stats.add rx.tpdu_latency dt;
-          if Obs.enabled then Obs.Metrics.observe_s m_tpdu_latency dt;
-          Hashtbl.remove rx.first_arrival t_id
-      | None -> ());
+      if not (Float.is_nan l.first_arrival) then begin
+        let dt = Netsim.Engine.now rx.engine -. l.first_arrival in
+        Netsim.Stats.add rx.tpdu_latency dt;
+        if Obs.enabled then Obs.Metrics.observe_s m_tpdu_latency dt
+      end;
       (* write-ahead: the bytes this ACK promises to keep go to stable
          storage before the ACK can reach the sender — otherwise a crash
          after the ACK leaves a hole the sender will never refill *)
       (match rx.persist with
       | Some journal ->
-          let es = rx.config.elem_size in
-          let buf = Placement.contents rx.placement in
           let runs =
-            Persist.normalize_runs ~elem_size:es
-              (List.filter_map
-                 (fun (sn, len) ->
-                   let off = sn * es and n = len * es in
-                   if sn >= 0 && len > 0 && off + n <= Bytes.length buf
-                   then Some (sn, Bytes.sub buf off n)
-                   else None)
-                 placed_runs)
+            Persist.normalize_runs ~elem_size:rx.config.elem_size
+              (copy_runs rx placed_runs)
           in
           journal
             (Persist.Acked
-               {
-                 conn = rx.config.conn_id;
-                 t_id;
-                 end_confirmed = rx.end_confirmed;
-                 runs;
-               })
+               { conn = rx.config.conn_id; t_id; runs;
+                 end_confirmed = rx.end_confirmed })
       | None -> ());
       rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
     end
 
-  (* The verifier-dispatch and governor re-accounting tail of chunk
-     processing, shared verbatim by the slow path ([on_scanned]) and the
-     flow-cache fast path ([ingest]'s cached dispatch): everything from
-     here on is work no cache may skip.  The chunk is labelled [h] and
-     its payload read in place, in [buf] at [poff].  It is copied out
-     of [buf] at most once, and only when a fresh run of it has to wait
-     in the corroboration stash, past the packet's life: [stashed]
-     carries that copy across the chunk's events. *)
-  let rec handle_events rx (h : Header.t) buf poff stashed = function
+  (* Dispatch the verifier's events for one chunk of the TPDU in flight
+     as [l] (every event names the chunk's own T.ID).  The chunk is
+     labelled [h] and its payload read in place, in [buf] at [poff].  It
+     is copied out of [buf] at most once, and only when a fresh run of
+     it has to wait in the corroboration stash, past the packet's life:
+     [stashed] carries that copy across the chunk's events. *)
+  let rec handle_events rx l (h : Header.t) buf poff stashed = function
     | [] -> ()
     | ev :: rest -> (
         match ev with
-        | Edc.Verifier.Fresh_data { t_id; t_sn; elems } ->
-            let m = corrob rx t_id in
+        | Edc.Verifier.Fresh_data { t_id = _; t_sn; elems } ->
+            let m = corrob_of l in
             if m.confirmed then begin
-              place_fresh rx h buf poff ~t_sn ~elems;
-              handle_events rx h buf poff stashed rest
+              place_fresh rx m h buf poff ~t_sn ~elems;
+              handle_events rx l h buf poff stashed rest
             end
             else begin
               let c =
@@ -760,63 +775,58 @@ module Receiver = struct
                       (Bytes.sub buf poff (Header.payload_bytes h))
               in
               m.stash <- (c, t_sn, elems) :: m.stash;
-              handle_events rx h buf poff (Some c) rest
+              handle_events rx l h buf poff (Some c) rest
             end
         | Edc.Verifier.Tpdu_verified { t_id; verdict = Edc.Verifier.Passed } ->
-            tpdu_passed rx t_id;
-            handle_events rx h buf poff stashed rest
-        | Edc.Verifier.Tpdu_verified { t_id; verdict = _ } ->
-            (* failed epoch: drop its suspect stash and end claim with
-               it *)
-            invalidate_l1 rx t_id;
-            Hashtbl.remove rx.corrob t_id;
-            Hashtbl.remove rx.end_claims t_id;
-            handle_events rx h buf poff stashed rest
+            tpdu_passed rx t_id l;
+            handle_events rx l h buf poff stashed rest
+        | Edc.Verifier.Tpdu_verified { t_id = _; verdict = _ } ->
+            (* failed epoch: its stash and end claim go with it *)
+            l.corrob <- None;
+            l.end_claim <- None;
+            handle_events rx l h buf poff stashed rest
         | Edc.Verifier.Duplicate_dropped _ ->
-            handle_events rx h buf poff stashed rest)
-
-  let verify_and_account rx (h : Header.t) buf poff t_id =
-    handle_events rx h buf poff None
-      (Edc.Verifier.on_view rx.verifier h buf poff);
-    account rx t_id
-
-  (* Install a flow-cache row for [t_id] if — after this chunk's full
-     slow-path processing — every premise the fast path skips
-     re-checking holds.  Keyed by the receiver's own C.ID: a chunk whose
-     (possibly corrupted) C.ID differs can never populate the cache, so
-     invalidation only ever has one key to clear. *)
-  let maybe_cache rx (h : Header.t) t_id =
-    match Hashtbl.find_opt rx.corrob t_id with
-    | Some { confirmed = true; delta_data = Some delta; _ } ->
-        if
-          h.Header.c.Ftuple.id = rx.config.conn_id
-          && (not h.Header.c.Ftuple.st)
-          && (not (Hashtbl.mem rx.acked t_id))
-          && (not (Hashtbl.mem rx.shed_tids t_id))
-          && ((not rx.config.sack) || Hashtbl.mem rx.nack_armed t_id)
-          && Hashtbl.mem rx.first_arrival t_id
-        then
-          Flowcache.insert rx.fcache ~k1:rx.config.conn_id ~k2:t_id delta
-    | Some _ | None -> ()
+            handle_events rx l h buf poff stashed rest)
 
   let trace_rx rx b off t_id =
     if Obs.enabled && Obs.Trace.active () then
       Obs.Trace.record
         (Obs.Trace.Chunk_rx
-           {
-             conn = Wire.Scan.c_id b off;
-             tpdu = t_id;
-             bytes = Wire.Scan.payload_bytes b off;
-           })
+           { conn = Wire.Scan.c_id b off; tpdu = t_id;
+             bytes = Wire.Scan.payload_bytes b off })
         ~time:(Netsim.Engine.now rx.engine)
 
-  (* The slow path of one scanned chunk: every gate and every check, no
-     cache.  The gates decide from the labels where they sit in the
-     packet (paper §2: the header alone says what to do with a chunk),
-     so a chunk they turn away costs no allocation beyond its outcome.
-     Only a chunk that gets past them has its header built; its payload
-     stays in the packet.  Signals are the exception: their payload is
-     parsed as an object, so they are materialised. *)
+  (* A chunk of TPDU [t_id], in flight as [l], scanned at [off] in [b]:
+     note its arrival, C.ST claim and gap timer, witness its delta, then
+     verify, place and account.  Its header is built once; its payload
+     stays in the packet. *)
+  let admit rx t_id l b off =
+    let h = Wire.Scan.header b off in
+    if Ctype.is_data h.Header.ctype then begin
+      if Float.is_nan l.first_arrival then
+        l.first_arrival <- Netsim.Engine.now rx.engine;
+      (* the C.ST bit claims the connection's final element; the claim
+         is trusted only once this TPDU verifies *)
+      if h.Header.c.Ftuple.st then
+        l.end_claim <- Some (h.Header.c.Ftuple.sn + h.Header.len - 1);
+      if rx.config.sack && not l.nack_armed then begin
+        l.nack_armed <- true;
+        arm_nack rx t_id 0
+      end
+    end;
+    witness rx l h;
+    let poff = off + Wire.header_size in
+    handle_events rx l h b poff None
+      (Edc.Verifier.on_view rx.verifier h b poff);
+    retire rx t_id l;
+    account rx t_id l.corrob
+
+  (* One scanned chunk.  The gates decide from the labels where they sit
+     in the packet (paper §2: the header alone says what to do with a
+     chunk), so a chunk they turn away costs no allocation beyond its
+     outcome: the ledger first, then one lookup of the T.ID.  Signals
+     are the exception: their payload is parsed as an object, so they
+     are materialised. *)
   let on_scanned rx b off =
     let code = Wire.Scan.ctype_code b off in
     if code = Ctype.code Ctype.signal then on_signal rx (Wire.Scan.chunk b off)
@@ -827,74 +837,23 @@ module Receiver = struct
          (feeding it would recreate verifier state that can never
          complete), but it is re-acknowledged *)
       if Hashtbl.mem rx.acked t_id then re_ack rx t_id
-      (* a shed TPDU is gone for good: its straggler chunks must not
-         recreate verifier state the sender will never complete *)
-      else if Hashtbl.mem rx.shed_tids t_id then ()
-      else begin
-        let h = Wire.Scan.header b off in
-        (if code = 0 then begin
-           if not (Hashtbl.mem rx.first_arrival t_id) then
-             Hashtbl.add rx.first_arrival t_id (Netsim.Engine.now rx.engine);
-           (* the C.ST bit claims the connection's final element; the
-              claim is trusted only once this TPDU verifies *)
-           if h.Header.c.Ftuple.st then
-             Hashtbl.replace rx.end_claims t_id
-               (h.Header.c.Ftuple.sn + h.Header.len - 1);
-           if rx.config.sack && not (Hashtbl.mem rx.nack_armed t_id)
-           then begin
-             Hashtbl.add rx.nack_armed t_id ();
-             arm_nack rx t_id 0
-           end
-         end);
-        witness rx h;
-        verify_and_account rx h b (off + Wire.header_size) t_id;
-        maybe_cache rx h t_id
-      end
+      else
+        match Hashtbl.find_opt rx.tpdus t_id with
+        | Some (Shed _) ->
+            (* a shed TPDU is gone for good: its straggler chunks must
+               not recreate verifier state the sender will never
+               complete *)
+            ()
+        | Some (Live l) -> admit rx t_id l b off
+        | Some (Acked _) | None -> admit rx t_id (add_live rx t_id) b off
     end
-
-  (* A decoded chunk takes the same path as the one-chunk packet it
-     would have arrived in. *)
-  let on_chunk rx chunk =
-    if not (Chunk.is_terminator chunk) then begin
-      let buf = Buffer.create (Wire.chunk_size chunk) in
-      Wire.encode_chunk buf chunk;
-      on_scanned rx (Buffer.to_bytes buf) 0
-    end
-
-  (* Fast-path dispatch of one scanned chunk (DESIGN §7).  Eligible
-     traffic — a data chunk without the C.ST bit, or an ED chunk — whose
-     (C.ID, T.ID) row is cached with a matching connection delta goes
-     straight to [verify_and_account]: the cache row's existence proves
-     the arrival bookkeeping, corroboration witness and
-     acked/shed/timer re-checks the slow path would perform are all
-     settled no-ops for this TPDU.  Anything else (miss, stale delta =
-     corrupt label, signal, C.ST carrier) reports [false] and the caller
-     falls back to [on_scanned]. *)
-  let fast_chunk rx b off =
-    let code = Wire.Scan.ctype_code b off in
-    if (code = 0 || code = 1) && not (Wire.Scan.c_st b off) then begin
-      let t_id = Wire.Scan.t_id b off in
-      match Flowcache.find rx.fcache ~k1:(Wire.Scan.c_id b off) ~k2:t_id with
-      | Some delta when Wire.Scan.c_sn b off - Wire.Scan.t_sn b off = delta ->
-          trace_rx rx b off t_id;
-          verify_and_account rx (Wire.Scan.header b off) b
-            (off + Wire.header_size) t_id;
-          true
-      | Some _ | None -> false
-    end
-    else false
-
-  let ingest_scanned rx b off =
-    if not (fast_chunk rx b off) then on_scanned rx b off
 
   let ingest rx b =
     Busmodel.nic_to_mem rx.bus (Bytes.length b);
     if Wire.Scan.packet rx.scan b then
       for i = 0 to Wire.Scan.count rx.scan - 1 do
-        ingest_scanned rx b (Wire.Scan.offset rx.scan i)
+        on_scanned rx b (Wire.Scan.offset rx.scan i)
       done
-
-  let fastpath_stats rx = Flowcache.stats rx.fcache
 
   let contents rx = Placement.contents rx.placement
   let delivered_elems rx = Placement.placed_elems rx.placement
@@ -907,17 +866,10 @@ module Receiver = struct
      toward stream {e completion} (the degradation contract says those
      bytes may be missing) but never toward verified delivery. *)
   let covered_frontier rx =
-    let spans =
-      List.sort compare
-        (Vreassembly.spans rx.verified_cover
-        @ Vreassembly.spans rx.shed_cover)
-    in
-    let rec go expect = function
-      | [] -> expect
-      | (s, l) :: rest ->
-          if s > expect then expect else go (max expect (s + l)) rest
-    in
-    go 0 spans
+    Persist.verified_frontier
+      (List.sort compare
+         (Vreassembly.spans rx.verified_cover
+         @ Vreassembly.spans rx.shed_cover))
 
   let complete rx =
     match rx.capacity with
@@ -939,17 +891,7 @@ module Receiver = struct
             covered_frontier rx > last
         | None -> false)
 
-  (* Whether this receiver holds any soft state for [t_id] (verifier
-     accumulator or corroboration record).  The demultiplexer uses this
-     to tell a chunk of an in-flight TPDU from traffic with a label this
-     epoch has never seen. *)
-  let tracks_tpdu rx ~t_id =
-    Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
-    || Hashtbl.mem rx.corrob t_id
-
-  let element_delay rx = rx.element_delay
   let tpdu_latency rx = rx.tpdu_latency
-  let verified_elems rx = Vreassembly.received_elems rx.verified_cover
   let verifier_stats rx = Edc.Verifier.stats rx.verifier
   let verifier_in_flight rx = Edc.Verifier.in_flight rx.verifier
   let stats rx =
@@ -969,8 +911,11 @@ module Receiver = struct
 
   let stashed_tpdus rx =
     Hashtbl.fold
-      (fun _ m acc -> if m.stash <> [] then acc + 1 else acc)
-      rx.corrob 0
+      (fun _ e acc ->
+        match e with
+        | Live { corrob = Some { stash = _ :: _; _ }; _ } -> acc + 1
+        | _ -> acc)
+      rx.tpdus 0
 
   (* {2 Crash recovery} *)
 
@@ -983,52 +928,51 @@ module Receiver = struct
     Hashtbl.fold (fun k () acc -> k :: acc) rx.acked []
     |> List.sort Int.compare
 
-  let sorted_assoc tbl =
-    Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl []
+  (* One sorted image list drawn from the TPDU table. *)
+  let image_of rx pick =
+    Hashtbl.fold
+      (fun t_id e acc ->
+        match pick t_id e with Some v -> (t_id, v) :: acc | None -> acc)
+      rx.tpdus []
     |> List.sort (fun (a, _) (b, _) -> Int.compare a b)
 
   let export rx : Persist.receiver_image =
-    let es = rx.config.elem_size in
-    let buf = Placement.contents rx.placement in
-    let ri_placed =
-      List.filter_map
-        (fun (sn, len) ->
-          let off = sn * es and n = len * es in
-          if off >= 0 && n > 0 && off + n <= Bytes.length buf then
-            Some (sn, Bytes.sub buf off n)
-          else None)
-        (Placement.spans rx.placement)
-    in
     let ri_corrob =
-      Hashtbl.fold
-        (fun t_id m acc ->
-          let pi_stash =
-            List.rev m.stash
-            |> List.filter_map (fun (c, t_sn, elems) ->
-                   match Wire.encode_packet [ c ] with
-                   | Ok b -> Some (b, t_sn, elems)
-                   | Error _ -> None)
-          in
-          {
-            Persist.pi_t_id = t_id;
-            pi_delta_data = m.delta_data;
-            pi_delta_ed = m.delta_ed;
-            pi_confirmed = m.confirmed;
-            pi_stash;
-            pi_placed_runs = List.sort compare m.placed_runs;
-          }
-          :: acc)
-        rx.corrob []
-      |> List.sort (fun a b ->
-             Int.compare a.Persist.pi_t_id b.Persist.pi_t_id)
+      image_of rx (fun t_id -> function
+        | Live { corrob = Some m; _ } ->
+            let pi_stash =
+              List.rev m.stash
+              |> List.filter_map (fun (c, t_sn, elems) ->
+                     match Wire.encode_packet [ c ] with
+                     | Ok b -> Some (b, t_sn, elems)
+                     | Error _ -> None)
+            in
+            Some
+              {
+                Persist.pi_t_id = t_id;
+                pi_delta_data = m.delta_data;
+                pi_delta_ed = m.delta_ed;
+                pi_confirmed = m.confirmed;
+                pi_stash;
+                pi_placed_runs = List.sort compare m.placed_runs;
+              }
+        | Live _ | Acked _ | Shed _ -> None)
+      |> List.map snd
     in
     {
       Persist.ri_conn = rx.config.conn_id;
-      ri_placed;
+      ri_placed = copy_runs rx (Placement.spans rx.placement);
       ri_verified = Vreassembly.spans rx.verified_cover;
       ri_end_confirmed = rx.end_confirmed;
-      ri_end_claims = sorted_assoc rx.end_claims;
-      ri_last_reack = sorted_assoc rx.last_reack;
+      ri_end_claims =
+        image_of rx (fun _ -> function
+          | Live { end_claim; _ } -> end_claim | Acked _ | Shed _ -> None);
+      ri_last_reack =
+        image_of rx (fun _ -> function
+          | (Acked { last_reack } | Shed { last_reack })
+            when last_reack > neg_infinity ->
+              Some last_reack
+          | Live _ | Acked _ | Shed _ -> None);
       ri_passed = epoch_passes rx;
       ri_tpdus = Edc.Verifier.export rx.verifier;
       ri_corrob;
@@ -1039,11 +983,12 @@ module Receiver = struct
      re-accepted (the restored verifier tracker treats it as duplicate),
      the ledger in [acked_tids] keeps verified TPDUs from being
      re-processed, and governor occupancy is re-derived from the
-     restored state — not trusted from the image. *)
-  let restore engine config ?bus ?governor ?acked ?persist ?fcache ~send_ack
+     restored state — not trusted from the image.  The image does not
+     record sheds, so a re-ACK clock comes back as [Acked]. *)
+  let restore engine config ?bus ?governor ?acked ?persist ~send_ack
       ~capacity (img : Persist.receiver_image) ~acked_tids =
     let rx =
-      create engine config ?bus ?governor ?acked ?persist ?fcache ~send_ack
+      create engine config ?bus ?governor ?acked ?persist ~send_ack
         ~capacity ()
     in
     rx.restored_passes <- img.Persist.ri_passed;
@@ -1062,11 +1007,16 @@ module Receiver = struct
       img.Persist.ri_verified;
     rx.end_confirmed <- img.Persist.ri_end_confirmed;
     List.iter
-      (fun (t, last) -> Hashtbl.replace rx.end_claims t last)
-      img.Persist.ri_end_claims;
-    List.iter
-      (fun (t, at) -> Hashtbl.replace rx.last_reack t at)
+      (fun (t, at) -> Hashtbl.replace rx.tpdus t (Acked { last_reack = at }))
       img.Persist.ri_last_reack;
+    let live t_id =
+      match Hashtbl.find_opt rx.tpdus t_id with
+      | Some (Live l) -> l
+      | Some (Acked _ | Shed _) | None -> add_live rx t_id
+    in
+    List.iter
+      (fun (t, last) -> (live t).end_claim <- Some last)
+      img.Persist.ri_end_claims;
     List.iter (Edc.Verifier.import rx.verifier) img.Persist.ri_tpdus;
     List.iter
       (fun (pi : Persist.corrob_image) ->
@@ -1079,41 +1029,32 @@ module Receiver = struct
             pi.Persist.pi_stash
           |> List.rev
         in
-        Hashtbl.replace rx.corrob pi.Persist.pi_t_id
-          {
-            delta_data = pi.Persist.pi_delta_data;
-            delta_ed = pi.Persist.pi_delta_ed;
-            confirmed = pi.Persist.pi_confirmed;
-            stash;
-            placed_runs = pi.Persist.pi_placed_runs;
-            (* quarantined conflicts are not persisted: dropping them
-               degrades to missing data that retransmission repairs *)
-            quarantine = [];
-          })
+        (live pi.Persist.pi_t_id).corrob <-
+          Some
+            {
+              delta_data = pi.Persist.pi_delta_data;
+              delta_ed = pi.Persist.pi_delta_ed;
+              confirmed = pi.Persist.pi_confirmed;
+              stash;
+              placed_runs = pi.Persist.pi_placed_runs;
+              (* quarantined conflicts are not persisted: dropping them
+                 degrades to missing data that retransmission repairs *)
+              quarantine = [];
+            })
       img.Persist.ri_corrob;
     List.iter (fun t -> Hashtbl.replace rx.acked t ()) acked_tids;
     (* re-derive what the restored soft state costs and account it; the
        governor, not the image, decides whether it still fits *)
-    let tracked =
-      List.sort_uniq compare
-        (Edc.Verifier.in_flight_ids rx.verifier
-        @ Hashtbl.fold (fun k _ acc -> k :: acc) rx.corrob [])
-    in
-    List.iter (fun t_id -> account rx t_id) tracked;
+    List.iter
+      (fun t_id -> account rx t_id (corroboration rx t_id))
+      (tracked_ids rx);
     rx
 
   (* Conservative re-entry into service: re-ACK the whole restored
      ledger, because any ACK sent in the pre-crash epoch may have been
      lost with the crash — the sender retransmitting into a restored
      receiver that stays silent would probe until give-up. *)
-  let reannounce rx =
-    List.iter
-      (fun t_id ->
-        Hashtbl.replace rx.last_reack t_id (Netsim.Engine.now rx.engine);
-        rx.reacks_sent <- rx.reacks_sent + 1;
-        if Obs.enabled then Obs.Metrics.incr m_reacks;
-        rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id))
-      (acked_tids rx)
+  let reannounce rx = List.iter (send_reack rx) (acked_tids rx)
 end
 
 module Sender = struct
@@ -1851,7 +1792,7 @@ let run ?(seed = 0x5EED) ?(config = default_config) ?(loss = 0.0)
     wire_bytes = Sender.bytes_sent tx;
     retransmissions = Sender.retransmissions tx;
     sack_retransmissions = Sender.sack_retransmissions tx;
-    element_delay = Netsim.Stats.summary (Receiver.element_delay rx);
+    element_delay = Netsim.Stats.summary rx.Receiver.element_delay;
     tpdu_latency = Netsim.Stats.summary (Receiver.tpdu_latency rx);
     bus_crossings_per_byte = Busmodel.per_byte bus ~delivered:n;
     goodput_bps =

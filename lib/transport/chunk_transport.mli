@@ -89,6 +89,11 @@ val ack_packet : conn_id:int -> t_id:int -> bytes
 (** One encoded packet carrying the ACK control chunk for a TPDU (used
     by demultiplexers to re-acknowledge closed-epoch stragglers). *)
 
+val m_reacks : Obs.Metrics.counter
+(** [transport_reacks_total]: bumped with every re-ACK counted in
+    [Rx_stats.reacks_sent], by whichever layer sends it — a receiver, or
+    a demultiplexer re-acknowledging a closed epoch. *)
+
 (** {1 Receive-side counters} *)
 
 module Rx_stats : sig
@@ -173,7 +178,6 @@ module Receiver : sig
     ?governor:Governor.t ->
     ?acked:(int, unit) Hashtbl.t ->
     ?persist:(Persist.event -> unit) ->
-    ?fcache:int Flowcache.t ->
     send_ack:(bytes -> unit) ->
     capacity:[ `Exact of int | `Quota of int ] ->
     unit ->
@@ -194,26 +198,13 @@ module Receiver : sig
       [?persist] is the write-ahead journal hook: it receives one
       {!Persist.Acked} event per fresh acknowledgement, {e before} the
       ACK packet is handed to [send_ack], carrying exactly the placed
-      bytes that ACK promises to keep.
-
-      [?fcache] is the per-TPDU flow cache of the fast path (DESIGN §7),
-      keyed [(C.ID, T.ID)] and holding corroborated connection deltas.
-      Pass a shared one when a demultiplexer owns receivers across
-      epochs ({!Multi} does); without it the receiver runs its own.  A
-      restored receiver must be given a cache with no rows for its
-      connection (a fresh one, in practice): crash restore invalidates
-      by construction. *)
-
-  val on_chunk : t -> Labelling.Chunk.t -> unit
-  (** Feed one already-decoded chunk: its wire image is rebuilt and
-      takes {!on_scanned}, as the one-chunk packet it would have arrived
-      in (no bus accounting, no flow cache). *)
+      bytes that ACK promises to keep. *)
 
   val ingest : t -> bytes -> unit
   (** Feed one packet from the network — the receiver's only packet
       entry point.  A single zero-allocation structural scan
       ({!Labelling.Wire.Scan}) validates the packet (a malformed one is
-      dropped whole), then each chunk takes {!ingest_scanned}.  Chunks
+      dropped whole), then each chunk takes {!on_scanned}.  Chunks
       are processed in place: labels are read from the packet and the
       verifier and placement read the payload from it, so no
       [Chunk.t] is built except for a signal (whose payload is parsed)
@@ -221,29 +212,16 @@ module Receiver : sig
       stash past the call.  The caller owns [b] again once the call
       returns: nothing retains it. *)
 
-  val ingest_scanned : t -> bytes -> int -> unit
-  (** [ingest_scanned rx b off] processes the single chunk starting at
-      [off] in [b], where [off] came from a successful
-      {!Labelling.Wire.Scan.packet} pass over [b] — the demultiplexer's
-      bridge into the receiver (no bus accounting).  A chunk whose
-      [(C.ID, T.ID)] row is cached dispatches straight to the verifier,
-      skipping the per-chunk consistency re-checks already witnessed
-      for that TPDU's epoch; every other chunk takes {!on_scanned},
-      which repopulates the cache.  Given a capacity-0 [?fcache] (see
-      {!Flowcache.create}) every chunk takes {!on_scanned}: that is the
-      cache-off reference of the [fastpath-coherence] oracle row, which
-      holds delivery byte-identical with and without the cache. *)
-
   val on_scanned : t -> bytes -> int -> unit
-  (** The slow path of {!ingest_scanned}: every check, no cache.  Its
-      gates (signal, already-acknowledged, shed) read TYPE and T.ID in
-      the packet, so a re-offer of an acknowledged TPDU is re-ACKed
-      with nothing built for the chunk; a chunk past them gets one
+  (** [on_scanned rx b off] processes the single chunk starting at [off]
+      in [b], where [off] came from a successful
+      {!Labelling.Wire.Scan.packet} pass over [b] — the demultiplexer's
+      bridge into the receiver (no bus accounting).  Its gates read TYPE
+      and T.ID in the packet: the ACK ledger first, then one lookup in
+      the receiver's per-TPDU table, so a re-offer of an acknowledged
+      TPDU is re-ACKed and a straggler of a shed one dropped with
+      nothing built for the chunk; a chunk past them gets one
       [Labelling.Header.t]. *)
-
-  val fastpath_stats : t -> Flowcache.stats
-  (** Counters of the receiver's per-TPDU flow cache.  When the cache is
-      shared (see {!create}), these are the shared instance's totals. *)
 
   val contents : t -> bytes
   (** The application buffer (valid up to the placed elements). *)
@@ -262,7 +240,8 @@ module Receiver : sig
 
   val tracks_tpdu : t -> t_id:int -> bool
   (** Whether the receiver holds any soft state (verifier accumulator or
-      corroboration record) for [t_id]. *)
+      corroboration record) for [t_id].  A TPDU whose only state is an
+      armed gap timer is not tracked. *)
 
   val stream_end_elems : t -> int option
   (** Total stream length in elements, once a verified TPDU has carried
@@ -291,16 +270,8 @@ module Receiver : sig
   (** Release every piece of soft state (and its governor account) at
       once — connection close.  Not counted as evictions. *)
 
-  val element_delay : t -> Netsim.Stats.t
-  (** Per-element application-availability delay relative to the packet
-      carrying it (0 for immediate processing; the comparison series
-      for CLM-LAT). *)
-
   val tpdu_latency : t -> Netsim.Stats.t
   (** Per-TPDU time from first fragment arrival to verification. *)
-
-  val verified_elems : t -> int
-  (** Elements covered by WSC-2-verified TPDUs so far. *)
 
   val verifier_stats : t -> Edc.Verifier.stats
 
@@ -363,7 +334,6 @@ module Receiver : sig
     ?governor:Governor.t ->
     ?acked:(int, unit) Hashtbl.t ->
     ?persist:(Persist.event -> unit) ->
-    ?fcache:int Flowcache.t ->
     send_ack:(bytes -> unit) ->
     capacity:[ `Exact of int | `Quota of int ] ->
     Persist.receiver_image ->

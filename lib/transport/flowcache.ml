@@ -1,11 +1,10 @@
 (* Direct-mapped flow cache over a pair of integer keys.
 
-   The layered fast path (ROADMAP item 2, after OVS megaflows /
-   NuevoMatchUP computational caches) needs two tiny associative maps
-   probed once per chunk: a connection-level cache keyed on C.ID and a
-   TPDU-level cache keyed on (C.ID, T.ID).  Both want the same thing —
-   O(1) probe with zero allocation on hit or miss, explicit
-   invalidation, and cheap statistics — so it is one generic module.
+   The fast path (after OVS megaflows / NuevoMatchUP computational
+   caches) needs a tiny associative map probed once per chunk: the
+   connection-level cache keyed on C.ID.  It wants an O(1) probe with
+   zero allocation on hit or miss, explicit invalidation, and cheap
+   statistics.
 
    Direct-mapped (one entry per slot, insert displaces) rather than
    set-associative: the point of the cache is the Zipf head, where a

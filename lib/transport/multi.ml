@@ -85,7 +85,6 @@ type t = {
   quota_elems : int;
   max_conns : int;
   persist : (Persist.event -> unit) option;
-  l1 : int Flowcache.t;  (* per-TPDU cache, shared by every receiver *)
   l2 : l2_entry Flowcache.t;  (* hot-connection dispatch cache *)
   scan : Wire.Scan.t;
   anomaly_budget : int;  (* quarantine trip threshold; 0 disables *)
@@ -318,7 +317,6 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
       quota_elems;
       max_conns;
       persist;
-      l1 = Flowcache.create ~name:"tpdu" ~slots ();
       l2 = Flowcache.create ~name:"conn" ~slots ();
       scan = Wire.Scan.create ();
       anomaly_budget;
@@ -377,7 +375,7 @@ let new_epoch ?open_csn m c =
     R.create m.engine
       { m.config with conn_id = c.id }
       ~bus:m.bus ~governor:m.governor ~acked:c.acked ?persist:m.persist
-      ~fcache:m.l1 ~send_ack:m.send_ack ~capacity:(`Quota m.quota_elems) ()
+      ~send_ack:m.send_ack ~capacity:(`Quota m.quota_elems) ()
   in
   c.live <- Some rx;
   c.live_open <- open_csn;
@@ -401,6 +399,28 @@ let ensure_capacity m =
         close_conn m victim
     | None -> ()
 
+(* A connection record with no epoch, history or anomaly yet. *)
+let new_conn m id =
+  {
+    id;
+    acked = Hashtbl.create 16;
+    last_reack = Hashtbl.create 8;
+    live = None;
+    live_open = None;
+    open_hwm = -1;
+    hist = [];
+    last_touch = now m;
+    acc = no_counts;
+    epochs_started = 0;
+    hist_bytes = 0;
+    anomalies = 0;
+    anomaly_score = 0;
+    last_anomaly = 0.0;
+    quarantined_until = 0.0;
+    quarantine_count = 0;
+    poisoned = false;
+  }
+
 (* Each epoch's Open announces the stream's first C.SN, and the
    monotone-label discipline makes those strictly increase across a
    connection's epochs.  The announced C.SN is therefore the epoch's
@@ -416,27 +436,7 @@ let handle_open m cid ~first_csn =
   match Hashtbl.find_opt m.conns cid with
   | None ->
       ensure_capacity m;
-      let c =
-        {
-          id = cid;
-          acked = Hashtbl.create 16;
-          last_reack = Hashtbl.create 8;
-          live = None;
-          live_open = None;
-          open_hwm = -1;
-          hist = [];
-          last_touch = now m;
-          acc = no_counts;
-          epochs_started = 0;
-          hist_bytes = 0;
-          anomalies = 0;
-          anomaly_score = 0;
-          last_anomaly = 0.0;
-          quarantined_until = 0.0;
-          quarantine_count = 0;
-          poisoned = false;
-        }
-      in
+      let c = new_conn m cid in
       Hashtbl.add m.conns cid c;
       if Obs.enabled then begin
         Obs.Metrics.incr m_opens;
@@ -513,18 +513,18 @@ let handle_open m cid ~first_csn =
                 new_epoch m c ~open_csn:first_csn
               end))
 
+(* A re-ACK from a closed epoch, sent by the endpoint itself: counted
+   in its own store and in the registry, like a receiver's. *)
+let send_closed_reack m c t_id =
+  Hashtbl.replace c.last_reack t_id (now m);
+  m.counts.reacks_sent <- m.counts.reacks_sent + 1;
+  if Obs.enabled then Obs.Metrics.incr Chunk_transport.m_reacks;
+  m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)
+
 let re_ack_closed m c t_id =
-  let t = now m in
-  let due =
-    match Hashtbl.find_opt c.last_reack t_id with
-    | Some last -> t -. last >= m.config.nack_delay
-    | None -> true
-  in
-  if due then begin
-    Hashtbl.replace c.last_reack t_id t;
-    m.counts.reacks_sent <- m.counts.reacks_sent + 1;
-    m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)
-  end
+  match Hashtbl.find_opt c.last_reack t_id with
+  | Some last when now m -. last < m.config.nack_delay -> ()
+  | Some _ | None -> send_closed_reack m c t_id
 
 (* Route one non-signal chunk, scanned at [off] in [b], by its labels:
    C.ID, TYPE and T.ID are read where they sit in the packet, so a chunk
@@ -646,8 +646,8 @@ let maybe_cache_conn m cid =
    A hit proves the chunk needs none of the slow path's dispatch work —
    the connection table is left untouched by non-C.ST data and ED
    chunks, the epoch-reopen check cannot fire while the stream end is
-   unconfirmed — so the chunk goes straight to the live receiver (whose
-   own per-TPDU cache may trim further).  Any other chunk, and any chunk
+   unconfirmed — so the chunk goes straight to the live receiver, whose
+   own gates run in full either way.  Any other chunk, and any chunk
    whose cached premises no longer hold, takes the slow path, which
    repopulates the cache.  Neither way builds a [Chunk.t]: chunks are
    routed by the labels in the packet, and only a signal, whose payload
@@ -672,7 +672,7 @@ let ingest m b =
               match e.fc_conn.live with
               | Some rx when rx == e.fc_rx && R.stream_end_elems rx = None ->
                   touch_conn m e.fc_conn;
-                  R.ingest_scanned rx b off;
+                  R.on_scanned rx b off;
                   true
               | Some _ | None ->
                   (* the epoch turned over (or closed) under the entry *)
@@ -702,7 +702,7 @@ let ingest_batch m packets =
   Array.iter (ingest m) packets
 
 let fastpath_stats m =
-  { fp_conn = Flowcache.stats m.l2; fp_tpdu = Flowcache.stats m.l1 }
+  { fp_conn = Flowcache.stats m.l2; fp_tpdu = Flowcache.zero_stats }
 
 let epochs m ~conn_id =
   match Hashtbl.find_opt m.conns conn_id with
@@ -826,10 +826,7 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
       if not (Hashtbl.mem m.conns img.Persist.ci_id) then begin
         let c =
           {
-            id = img.Persist.ci_id;
-            acked = Hashtbl.create 16;
-            last_reack = Hashtbl.create 8;
-            live = None;
+            (new_conn m img.Persist.ci_id) with
             live_open = img.Persist.ci_live_open;
             open_hwm =
               List.fold_left
@@ -842,8 +839,6 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
                 (fun (d, cm, k) ->
                   { a_delivered = d; a_complete = cm; a_open_csn = k })
                 img.Persist.ci_hist;
-            last_touch = now m;
-            acc = no_counts;
             (* epoch and state accounting re-derived from the image, so
                the isolation-budget bound spans the crash *)
             epochs_started =
@@ -853,9 +848,6 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
               List.fold_left
                 (fun acc (d, _, _) -> acc + Bytes.length d)
                 0 img.Persist.ci_hist;
-            anomalies = 0;
-            anomaly_score = 0;
-            last_anomaly = 0.0;
             quarantined_until = img.Persist.ci_quar_until;
             quarantine_count = img.Persist.ci_quar_count;
             poisoned = img.Persist.ci_poisoned;
@@ -869,7 +861,7 @@ let restore engine ~config ~quota_elems ~max_conns ?bus ?persist
               R.restore m.engine
                 { m.config with conn_id = c.id }
                 ~bus:m.bus ~governor:m.governor ~acked:c.acked
-                ?persist:m.persist ~fcache:m.l1 ~send_ack:m.send_ack
+                ?persist:m.persist ~send_ack:m.send_ack
                 ~capacity:(`Quota m.quota_elems) ri ~acked_tids:[]
             in
             c.live <- Some rx;
@@ -893,10 +885,7 @@ let reannounce m =
          | None ->
              Hashtbl.fold (fun t_id () l -> t_id :: l) c.acked []
              |> List.sort Int.compare
-             |> List.iter (fun t_id ->
-                    Hashtbl.replace c.last_reack t_id (now m);
-                    m.counts.reacks_sent <- m.counts.reacks_sent + 1;
-                    m.send_ack (Chunk_transport.ack_packet ~conn_id:c.id ~t_id)))
+             |> List.iter (send_closed_reack m c))
 
 (* Crash the endpoint: release all soft state so the governor's sweep
    timer stops re-arming (a dead endpoint must not keep the simulation

@@ -79,10 +79,10 @@ val create :
     acknowledgement (before the ACK leaves) plus {!Persist.Opened} /
     {!Persist.Archived} / {!Persist.Closed} lifecycle records.
 
-    [?fastpath_slots] sizes the two flow caches of the {!ingest} fast
+    [?fastpath_slots] sizes the connection cache of the {!ingest} fast
     path (rounded up to a power of two; default derived from
-    [max_conns]; [0] turns both off — see {!Flowcache.create}).
-    Hostile or skewed workloads that overflow the caches degrade to
+    [max_conns]; [0] turns it off — see {!Flowcache.create}).
+    Hostile or skewed workloads that overflow the cache degrade to
     slow-path throughput, never to different behaviour.
 
     [?anomaly_budget] (default 32) is the scored-anomaly threshold at
@@ -100,11 +100,12 @@ val ingest : t -> bytes -> unit
     zero-allocation structural scan ({!Labelling.Wire.Scan}) validates
     the envelope (a malformed packet is dropped whole, as on a real
     wire).  Hot-connection chunks dispatch via the connection cache
-    straight to the live epoch's receiver, and TPDUs with a
-    corroborated delta trim further via the per-TPDU cache.  Signals,
-    C.ST carriers, cache misses and any anomaly take the slow path:
-    signals through the connection table, data to the owning epoch's
-    receiver, repopulating the caches.  With [~fastpath_slots:0] every
+    straight to the live epoch's receiver.  Signals, C.ST carriers,
+    cache misses and any anomaly take the slow path: signals through
+    the connection table, data to the owning epoch's receiver,
+    repopulating the cache.  Either way the receiver runs every chunk
+    through its own gates ({!Chunk_transport.Receiver.on_scanned}).
+    With [~fastpath_slots:0] every
     chunk takes the slow path — the cache-off reference the
     [fastpath-coherence] oracle row compares against; delivery is
     byte-identical either way.  An exception thrown while processing a
@@ -118,12 +119,14 @@ val ingest_batch : t -> bytes array -> unit
 
 type fastpath_stats = {
   fp_conn : Flowcache.stats;  (** connection-level (L2) cache *)
-  fp_tpdu : Flowcache.stats;  (** per-TPDU (L1) cache, shared by all receivers *)
+  fp_tpdu : Flowcache.stats;
+      (** always {!Flowcache.zero_stats}: the per-TPDU (L1) cache is
+          gone; the field stays for readers of this record *)
 }
-(** Counters of the two fast-path cache layers. *)
+(** Counters of the fast-path cache. *)
 
 val fastpath_stats : t -> fastpath_stats
-(** Flow-cache counters accumulated since creation.  An endpoint
+(** Connection-cache counters accumulated since creation.  An endpoint
     created with [~fastpath_slots:0] reports all-zero stats. *)
 
 val epochs : t -> conn_id:int -> epoch_report list

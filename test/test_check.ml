@@ -234,14 +234,66 @@ let test_replay_rejects_invalid_schedule () =
     (Check.Schedule.of_string with_bogus = None)
 
 let m_nacks = Obs.Metrics.counter "transport_nacks_total"
+let m_reacks = Obs.Metrics.counter "transport_reacks_total"
+
+(* Re-ACKs of a closed epoch come from the endpoint, not a receiver:
+   one TPDU delivered, the connection closed, then the TPDU re-offered
+   (re-ACKed from the ledger) and the endpoint crash-restored and
+   reannounced (every ledgered TPDU re-ACKed).  Returns the endpoint's
+   re-ACK count and the registry's. *)
+let closed_epoch_reacks () =
+  let config =
+    { Transport.Chunk_transport.default_config with
+      Transport.Chunk_transport.elem_size = 4; tpdu_elems = 16 }
+  in
+  let engine = Netsim.Engine.create ~seed:3 () in
+  let m =
+    Transport.Multi.create engine ~config ~quota_elems:64 ~max_conns:4
+      ~send_ack:(fun _ -> ())
+      ()
+  in
+  let packet cs = Util.ok_or_fail (Labelling.Wire.encode_packet cs) in
+  let signal sg =
+    packet [ Labelling.Connection.signal_chunk ~conn_id:1 sg ]
+  in
+  let framer =
+    Labelling.Framer.create ~elem_size:4 ~tpdu_elems:16 ~conn_id:1 ()
+  in
+  let tpdu =
+    packet
+      (Util.ok_or_fail
+         (Edc.Encoder.seal_tpdus
+            (Util.ok_or_fail
+               (Labelling.Framer.push_frame ~last:true framer
+                  (Util.deterministic_bytes 64)))))
+  in
+  let r0 = Obs.Metrics.value m_reacks in
+  List.iter (Transport.Multi.ingest m)
+    [ signal (Labelling.Connection.Open { first_csn = 0 }); tpdu;
+      signal Labelling.Connection.Close; tpdu ];
+  let m' =
+    Transport.Multi.restore engine ~config ~quota_elems:64 ~max_conns:4
+      ~send_ack:(fun _ -> ())
+      (Transport.Multi.export m)
+  in
+  Transport.Multi.reannounce m';
+  ( (Transport.Multi.stats m).reacks_sent
+    + (Transport.Multi.stats m').reacks_sent,
+    Obs.Metrics.value m_reacks - r0 )
 
 let test_multi_nacks_counted () =
-  (* multi-connection runs must report the NACKs their epoch receivers
-     sent, or the sack-off oracle row is blind there: the observation
-     must agree with the process-wide counter over the same run,
-     crashes included.  Cache-off, adversary-free schedules make
-     [Driver.run] one run (no coherence or blast-radius re-run also
-     feeding the counter). *)
+  (* multi-connection runs must report the NACKs and re-ACKs their
+     endpoints sent, or the sack-off and quiet-reack oracle rows are
+     blind there: each observation must agree with the process-wide
+     counter over the same run, crashes included.  Cache-off,
+     adversary-free schedules make [Driver.run] one run (no coherence or
+     blast-radius re-run also feeding the counters). *)
+  let counted, registered = closed_epoch_reacks () in
+  Alcotest.(check int) "closed-epoch re-ACKs: re-offer and reannounce" 2
+    counted;
+  if Obs.enabled then
+    Alcotest.(check int) "closed-epoch re-ACKs reach the registry" counted
+      registered;
   let total =
     List.fold_left
       (fun total (profile, seed) ->
@@ -251,15 +303,22 @@ let test_multi_nacks_counted () =
           && (not s.Check.Schedule.fastpath)
           && s.Check.Schedule.byz = None);
         let n0 = Obs.Metrics.value m_nacks in
+        let r0 = Obs.Metrics.value m_reacks in
         let o = Check.Driver.run s in
         let nacks = o.Check.Driver.rx_stats.nacks_sent in
-        if Obs.enabled then
-          Alcotest.(check int)
-            (Printf.sprintf "%s seed %d: observed NACKs = NACKs sent"
-               (Check.Schedule.profile_name profile)
-               seed)
+        if Obs.enabled then begin
+          let name what =
+            Printf.sprintf "%s seed %d: observed %s = %s sent"
+              (Check.Schedule.profile_name profile)
+              seed what what
+          in
+          Alcotest.(check int) (name "NACKs")
             (Obs.Metrics.value m_nacks - n0)
             nacks;
+          Alcotest.(check int) (name "re-ACKs")
+            (Obs.Metrics.value m_reacks - r0)
+            o.Check.Driver.rx_stats.reacks_sent
+        end;
         total + nacks)
       0
       Check.Schedule.

@@ -259,8 +259,8 @@ let mk_multi ?anomaly_budget ?persist ?fastpath_slots () =
     ~send_ack:(fun _ -> ())
     ()
 
-(* The cache-off reference: the same receive path over capacity-0 flow
-   caches, so every chunk takes the slow path. *)
+(* The cache-off reference: the same receive path over a capacity-0
+   connection cache, so every chunk takes the slow path. *)
 let mk_reference ?anomaly_budget ?persist () =
   mk_multi ?anomaly_budget ?persist ~fastpath_slots:0 ()
 
@@ -739,17 +739,13 @@ let test_crash_restore_fresh_cache () =
       ~send_ack:(fun _ -> ())
       image
   in
-  (* the caches are NOT part of the persisted image: a restored endpoint
+  (* the cache is NOT part of the persisted image: a restored endpoint
      starts cold and repopulates from live traffic *)
   let cold = Transport.Multi.fastpath_stats m1 in
   Alcotest.(check int) "restored conn cache cold" 0
     (cold.Transport.Multi.fp_conn.FC.s_hits
     + cold.Transport.Multi.fp_conn.FC.s_misses
     + cold.Transport.Multi.fp_conn.FC.s_insertions);
-  Alcotest.(check int) "restored tpdu cache cold" 0
-    (cold.Transport.Multi.fp_tpdu.FC.s_hits
-    + cold.Transport.Multi.fp_tpdu.FC.s_misses
-    + cold.Transport.Multi.fp_tpdu.FC.s_insertions);
   (* post-crash retransmissions leave delivery untouched: the restored
      ledger re-acks them, and the replayed Open cannot resurrect its
      archived epoch (its C.SN is at the connection's watermark) *)

@@ -33,4 +33,5 @@ let () =
       ("obs", Test_obs.suite);
       ("flowcache", Test_flowcache.suite);
       ("shed", Test_shed.suite);
+      ("tpdu-state", Test_tpdu_state.suite);
     ]

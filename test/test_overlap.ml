@@ -605,7 +605,10 @@ let prop_receiver_order_invariant
         ~send_ack:(fun _ -> ())
         ~capacity:(`Exact expected) ()
     in
-    List.iter (CT.Receiver.on_chunk rx) (Util.shuffle ~seed:order_seed pool);
+    List.iter
+      (fun c ->
+        CT.Receiver.ingest rx (Util.ok_or_fail (Wire.encode_packet [ c ])))
+      (Util.shuffle ~seed:order_seed pool);
     rx
   in
   let a = deliver order_a and b = deliver order_b in
