@@ -75,7 +75,10 @@ let run_replay spec mutate =
   match Check.Schedule.of_string spec with
   | None ->
       (match Check.Schedule.unknown_fields spec with
-      | [] -> Printf.eprintf "error: unparseable schedule\n"
+      | [] ->
+          Printf.eprintf
+            "error: unparseable schedule (a field is missing, repeated or \
+             malformed)\n"
       | fs ->
           Printf.eprintf "error: unknown schedule field(s): %s\n"
             (String.concat ", " fs));
@@ -93,6 +96,19 @@ let run_replay spec mutate =
       let model = Check.Model.of_schedule schedule in
       let observation = Check.Driver.run ~mutation:mutate ~trace schedule in
       let rx = observation.Check.Driver.rx_stats in
+      (* a re-run's verdict is the oracle row's own comparison *)
+      let verdict rerun =
+        match
+          List.find_opt
+            (fun (cf : Check.Driver.counterfactual) ->
+              cf.Check.Driver.cf_rerun = rerun)
+            observation.Check.Driver.counterfactuals
+        with
+        | None -> "n/a"
+        | Some cf ->
+            if Check.Oracle.divergence observation cf = [] then "identical"
+            else "DIVERGENT"
+      in
       Format.printf "%a" Check.Trace.pp trace;
       Printf.printf
         "ok=%b complete=%b gave_up=%b retrans=%d sack=%d nacks=%d\n\
@@ -125,22 +141,9 @@ let run_replay spec mutate =
         observation.journal_records observation.overlap_injected
         rx.overlap.os_conflicts_seen rx.overlap.os_conflicts_rejected
         rx.overlap.os_quarantined rx.overlap.os_verified_overwrites
-        (match observation.permuted with
-        | None -> "n/a"
-        | Some p ->
-            if Bytes.equal p.Check.Driver.p_delivered observation.delivered
-            then "identical"
-            else "DIVERGENT")
+        (verdict Check.Driver.Permuted)
         schedule.Check.Schedule.fastpath
-        (match observation.coherence with
-        | None -> "n/a"
-        | Some c ->
-            if
-              c.Check.Driver.c_complete = observation.complete
-              && c.Check.Driver.c_gave_up = observation.gave_up
-              && Bytes.equal c.Check.Driver.c_delivered observation.delivered
-            then "identical"
-            else "DIVERGENT")
+        (verdict Check.Driver.Cache_off)
         observation.fastpath_stats.Transport.Flowcache.s_hits
         observation.fastpath_stats.Transport.Flowcache.s_misses
         observation.fastpath_stats.Transport.Flowcache.s_insertions
@@ -181,10 +184,8 @@ let run_soak list_profiles profile schedules seconds seed json metrics mutate
     match Check.Driver.mutation_of_string mutate with
     | Some m -> m
     | None ->
-        Printf.eprintf
-          "error: bad --mutate %S \
-           (none|flip:N|dup:N|drop:N|corrupt-restore|overlap-clobber|shed-clobber|byz-clobber)\n"
-          mutate;
+        Printf.eprintf "error: bad --mutate %S (%s)\n" mutate
+          (String.concat "|" (List.map fst Check.Driver.mutation_names));
         exit 2
   in
   match replay with
@@ -236,8 +237,8 @@ let run_soak list_profiles profile schedules seconds seed json metrics mutate
                   rx.overlap.os_conflicts_rejected
                   report.Check.Soak.sheds_signalled rx.sheds_received
                   rx.shed_elems report.Check.Soak.fp_runs
-                  report.Check.Soak.fp_hits report.Check.Soak.fp_misses
-                  report.Check.Soak.fp_invalidations
+                  report.Check.Soak.fp.s_hits report.Check.Soak.fp.s_misses
+                  report.Check.Soak.fp.s_invalidations
                   report.Check.Soak.bz_injected report.Check.Soak.bz_flaps
                   rx.quarantines rx.quarantine_drops
                   report.Check.Soak.bz_honest_quarantined
@@ -335,13 +336,12 @@ let cmd =
       value & opt string "none"
       & info [ "mutate" ] ~docv:"MODE"
           ~doc:
-            "Inject a stack bug (flip:N, dup:N, drop:N, corrupt-restore \
-             for a corrupted crash snapshot, overlap-clobber for a \
-             validly-sealed forged TPDU that clobbers verified bytes, \
-             shed-clobber for a stack that sheds a TPDU the schedule \
-             declares mandatory, or byz-clobber for a stack whose \
-             byzantine quarantine is disabled) and require the oracle to \
-             catch it.")
+            (Printf.sprintf
+               "Inject a stack bug and require the oracle to catch it: %s."
+               (String.concat ", "
+                  (List.map
+                     (fun (name, doc) -> Printf.sprintf "%s (%s)" name doc)
+                     Check.Driver.mutation_names))))
   in
   let replay =
     Arg.(

@@ -1,19 +1,12 @@
 open Labelling
 
-type stats = { injected : int; forged_opens : int; forged_tpdus : int }
-
 type t = {
-  engine : Netsim.Engine.t;
   rng : Netsim.Rng.t;
-  rate : float;
-  stop : float;
   legit_conns : int list;
   bogus_conns : int;
   elem_size : int;
   inject : bytes -> unit;
   mutable injected : int;
-  mutable forged_opens : int;
-  mutable forged_tpdus : int;
 }
 
 (* Bogus connection ids live far above any legitimate C.ID; forged
@@ -52,7 +45,6 @@ let fire a =
       (* forged Open: a connection nobody will ever send data on — the
          receiver's admission and stale-connection GC must absorb it *)
       let cid = bogus_conn_base + Netsim.Rng.int a.rng a.bogus_conns in
-      a.forged_opens <- a.forged_opens + 1;
       send a (Connection.signal_chunk ~conn_id:cid (Open { first_csn = 0 }))
   | 1 ->
       (* data for a connection that was never established: must be
@@ -67,7 +59,6 @@ let fire a =
          corroboration keeps it out of the placement buffer. *)
       let cid = pick_legit a in
       let t_id = bogus_tid_base + Netsim.Rng.int a.rng 4096 in
-      a.forged_tpdus <- a.forged_tpdus + 1;
       Option.iter (send a) (forged_data_chunk a ~conn_id:cid ~t_id)
   | _ ->
       (* forged abort for a random (usually live) TPDU: at worst the
@@ -76,39 +67,20 @@ let fire a =
       let t_id = Netsim.Rng.int a.rng 64 in
       send a (Connection.signal_chunk ~conn_id:cid (Abort_tpdu { t_id }))
 
-let rec arm a =
-  let interval = 1.0 /. a.rate in
-  let delay = interval *. (0.5 +. Netsim.Rng.float a.rng 1.0) in
-  Netsim.Engine.schedule a.engine ~delay (fun () ->
-      if Netsim.Engine.now a.engine < a.stop then begin
-        fire a;
-        arm a
-      end)
-
 let create engine ~seed ~rate ~stop ~legit_conns ~bogus_conns ~elem_size
     ~inject () =
   if rate <= 0.0 then invalid_arg "Adversary.create: rate must be positive";
   let a =
     {
-      engine;
       rng = Netsim.Rng.create ~seed;
-      rate;
-      stop;
       legit_conns;
       bogus_conns = max 1 bogus_conns;
       elem_size;
       inject;
       injected = 0;
-      forged_opens = 0;
-      forged_tpdus = 0;
     }
   in
-  arm a;
+  Netsim.Engine.every engine ~rng:a.rng ~rate ~stop (fun () -> fire a);
   a
 
-let stats a =
-  {
-    injected = a.injected;
-    forged_opens = a.forged_opens;
-    forged_tpdus = a.forged_tpdus;
-  }
+let injected a = a.injected

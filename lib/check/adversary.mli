@@ -13,8 +13,6 @@
     Injection is scheduled on the simulation engine and is fully
     deterministic under ([seed], schedule). *)
 
-type stats = { injected : int; forged_opens : int; forged_tpdus : int }
-
 type t
 
 val create :
@@ -31,4 +29,5 @@ val create :
 (** Arms itself immediately; fires roughly every [1/rate] seconds
     (jittered deterministically) until [stop]. *)
 
-val stats : t -> stats
+val injected : t -> int
+(** Forged packets put on the wire so far. *)

@@ -1,185 +1,65 @@
 module CT = Transport.Chunk_transport
 module Persist = Transport.Persist
 
-(* Stack bugs injected at the receiver door to prove the oracle can see
-   (and the shrinker can minimise) real misbehaviour.  The door is the
-   one point every forward packet crosses, whatever the topology. *)
-type mutation =
-  | No_mutation
-  | Flip_every of int  (** XOR one byte of every [n]th delivered packet *)
-  | Dup_every of int  (** deliver every [n]th packet twice *)
-  | Drop_every of int  (** swallow every [n]th packet *)
-  | Corrupt_restore
-      (** flip one already-verified byte in the first restored snapshot *)
-  | Overlap_clobber
-      (** forge a {e correctly sealed} TPDU with divergent bytes over the
-          first data chunk's connection range and inject it ahead of the
-          original — a verified-vs-verified clash no honest network can
-          produce *)
-  | Shed_clobber
-      (** mis-configure both endpoints to treat TPDU 0 — which the
-          schedule's shed contract does {e not} declare sheddable — as
-          expendable, and swallow its data at the door so the sender's
-          shed policy fires: the stack "completes" with Critical bytes
-          missing, the shed-safety violation the oracle must catch *)
-  | Byz_clobber
-      (** disable the anomaly-scoring quarantine ([anomaly_budget = 0])
-          so a byzantine peer runs unboxed: its flap churn accumulates
-          unbounded per-connection state, the isolation-budget violation
-          the oracle must catch — proving the defense, not luck, is
-          what contains the peer *)
+include Driver_types
 
-let mutation_to_string = function
-  | No_mutation -> "none"
-  | Flip_every n -> Printf.sprintf "flip:%d" n
-  | Dup_every n -> Printf.sprintf "dup:%d" n
-  | Drop_every n -> Printf.sprintf "drop:%d" n
-  | Corrupt_restore -> "corrupt-restore"
-  | Overlap_clobber -> "overlap-clobber"
-  | Shed_clobber -> "shed-clobber"
-  | Byz_clobber -> "byz-clobber"
+(* The one mutation table: each mode's name, how it is built from its
+   period (a periodic mode is written [name:N], the rest take none), and
+   what it injects. *)
+let fixed m = function None -> Some m | Some _ -> None
+let periodic f = Option.map f
+
+let mutations =
+  [
+    ("none", fixed No_mutation, "no injected bug");
+    ( "flip",
+      periodic (fun n -> Flip_every n),
+      "XOR a byte of every Nth packet" );
+    ("dup", periodic (fun n -> Dup_every n), "deliver every Nth packet twice");
+    ("drop", periodic (fun n -> Drop_every n), "swallow every Nth packet");
+    ("corrupt-restore", fixed Corrupt_restore, "a corrupted crash snapshot");
+    ( "overlap-clobber",
+      fixed Overlap_clobber,
+      "a validly-sealed forged TPDU that clobbers verified bytes" );
+    ( "shed-clobber",
+      fixed Shed_clobber,
+      "a stack that sheds a TPDU the schedule declares mandatory" );
+    ( "byz-clobber",
+      fixed Byz_clobber,
+      "a stack whose byzantine quarantine is disabled" );
+  ]
+
+let mutation_names =
+  List.map
+    (fun (name, make, doc) ->
+      ((if make None = None then name ^ ":N" else name), doc))
+    mutations
+
+let period = function
+  | Flip_every n | Dup_every n | Drop_every n -> Some n
+  | No_mutation | Corrupt_restore | Overlap_clobber | Shed_clobber
+  | Byz_clobber ->
+      None
+
+let mutation_to_string m =
+  let name, _, _ =
+    List.find (fun (_, make, _) -> make (period m) = Some m) mutations
+  in
+  match period m with
+  | Some n -> Printf.sprintf "%s:%d" name n
+  | None -> name
 
 let mutation_of_string str =
+  let find name period =
+    List.find_map
+      (fun (n, make, _) -> if n = name then make period else None)
+      mutations
+  in
   match String.split_on_char ':' str with
-  | [ "none" ] -> Some No_mutation
-  | [ "flip"; n ] -> Option.map (fun n -> Flip_every n) (int_of_string_opt n)
-  | [ "dup"; n ] -> Option.map (fun n -> Dup_every n) (int_of_string_opt n)
-  | [ "drop"; n ] -> Option.map (fun n -> Drop_every n) (int_of_string_opt n)
-  | [ "corrupt-restore" ] -> Some Corrupt_restore
-  | [ "overlap-clobber" ] -> Some Overlap_clobber
-  | [ "shed-clobber" ] -> Some Shed_clobber
-  | [ "byz-clobber" ] -> Some Byz_clobber
+  | [ name ] -> find name None
+  | [ name; n ] ->
+      Option.bind (int_of_string_opt n) (fun n -> find name (Some n))
   | _ -> None
-
-type epoch_obs = {
-  e_conn : int;
-  e_epoch : int;
-  e_gave_up : bool;
-  e_complete : bool;
-  e_delivered : bytes option;
-      (** the epoch's receiver buffer; [None] if the receiver never saw
-          the epoch *)
-}
-
-type multi_obs = {
-  mo_epochs : epoch_obs list;
-  mo_live_conns : int;  (** connections still live at quiescence *)
-  mo_known_conns : int;  (** connections ever admitted (incl. flood) *)
-}
-
-(* Cross-layer deltas of the [Obs] metric registry over exactly one run,
-   for the oracle's metrics-driven checks.  All zeros when the
-   observability layer is compiled out. *)
-type metrics_probe = {
-  mp_verified : int;  (* edc_tpdus_passed_total delta *)
-  mp_acked : int;  (* transport_acks_total delta *)
-  mp_governor_peak : int;  (* governor occupancy high-water this run *)
-}
-
-(* The delivery outcome of the permutation re-run: the same schedule
-   executed with a different overlap-injection seed, so the overlap
-   set's arrival order (and mix) differs while the legitimate transfer
-   is untouched. *)
-type permuted_obs = {
-  p_delivered : bytes;
-  p_complete : bool;
-  p_gave_up : bool;
-}
-
-(* The delivery outcome of the cache-off re-run of a fastpath schedule:
-   the same (seed, schedule) executed with [fastpath = false], so every
-   packet takes the decode-everything slow path.  The flow cache claims
-   to be pure acceleration, so the two runs must agree on every delivery
-   observable — the [fastpath-coherence] oracle row compares them. *)
-type coherence_obs = {
-  c_complete : bool;
-  c_gave_up : bool;
-  c_delivered : bytes;
-  c_epochs : epoch_obs list option;  (* multi runs: the per-epoch join *)
-}
-
-(* Per-connection containment accounting for one byzantine connection,
-   as the endpoint saw it at quiescence. *)
-type byz_conn_obs = {
-  bc_conn : int;
-  bc_epochs : int;  (* epochs the peer ever started on this C.ID *)
-  bc_hist_bytes : int;  (* archived bytes parked on the endpoint *)
-  bc_quarantines : int;  (* admissions revoked *)
-  bc_boxed : bool;  (* still boxed (or poisoned) at quiescence *)
-}
-
-(* The byzantine adversary's own accounting plus the endpoint-side view
-   of its connections — what the isolation-budget oracle row bounds. *)
-type byz_obs = {
-  bo_stats : Netsim.Byzantine.stats;
-  bo_conns : byz_conn_obs list;
-  bo_honest_quarantined : int;
-      (* honest connections ever boxed — must stay 0: every scored
-         anomaly is provably authored, so no attacker can talk an
-         honest connection into the penalty box *)
-  bo_sender_bogus_acks : int;
-      (* fabricated ACK/NACKs the honest senders detected and ignored *)
-}
-
-(* The honest per-epoch outcomes of the blast-radius re-run: the same
-   (seed, schedule, mutation) with the byzantine peer removed.  The
-   adversary's RNG is its own and its packets bypass the shared links,
-   so the honest wire is byte-identical across the two runs — any
-   honest-outcome divergence is containment failure. *)
-type blast_obs = { b_epochs : epoch_obs list }
-
-type observation = {
-  ok : bool;
-  complete : bool;
-  gave_up : bool;
-  finished : bool;
-  delivered : bytes;
-  delivered_elems : int;
-  retransmissions : int;
-  sack_retransmissions : int;
-  tpdus_sent : int;
-  packets_sent : int;
-  verifier : Edc.Verifier.stats;
-  verifier_in_flight : int;
-  stashed_tpdus : int;
-  engine_pending : int;
-  sim_time : float;
-  forward : Netsim.Link.stats;
-  dropper : Netsim.Dropper.stats option;
-  gateways_malformed : int;
-  mutated_packets : int;
-  rx_stats : CT.Rx_stats.t;
-      (* every receive-side counter, summed over crash incarnations *)
-  aborts_sent : int;
-  sheds_sent : int;
-  shed_spans : (int * int) list;
-  state_high_water : int;
-  state_accounted : int;
-  flood_injected : int;
-  rtt_samples : int;
-  max_txs_at_rtt_sample : int;
-  final_rto : float;
-  (* crash recovery *)
-  crashes_injected : int;
-  restores : int;
-  recovery_bad : int;
-  restore_over_budget : int;
-  roundtrip_failures : int;
-  snapshots_taken : int;
-  journal_records : int;
-  multi : multi_obs option;
-  metrics : metrics_probe;
-  overlap_injected : int;  (* overlap-adversary packets put on the wire *)
-  permuted : permuted_obs option;  (* present iff the schedule overlaps *)
-  (* flow-cache fast path *)
-  fastpath_stats : Transport.Flowcache.stats;
-      (* connection-cache counters, across crash incarnations; all zero
-         on slow-path and single-connection runs *)
-  coherence : coherence_obs option;
-      (* present iff the schedule ran the fast path *)
-  byz : byz_obs option;  (* present iff the schedule runs the adversary *)
-  blast : blast_obs option;  (* present iff [byz] is *)
-}
 
 (* The probe reads the process-wide registry, so a run's deltas are
    meaningful only while runs execute one at a time — which the driver
@@ -217,13 +97,11 @@ let horizon = 1000.0
    gateway chain, multipath, plus the scheduled outage valve in front
    of it all. *)
 type plumbing = {
-  engine : Netsim.Engine.t;
   forward_send : bytes -> unit;
   door : bytes -> unit;  (** the raw receiver door (adversary injection) *)
   forward_stats : unit -> Netsim.Link.stats;
   dropper_stats : unit -> Netsim.Dropper.stats option;
   gateways_malformed : unit -> int;
-  mutated : int ref;
 }
 
 let make_trec engine trace fmt =
@@ -234,24 +112,29 @@ let make_trec engine trace fmt =
       | None -> ())
     fmt
 
-(* The Shed_clobber mutation, part 1: both endpoints mis-classify TPDU 0
-   as expendable and (if the schedule did not already) arm the sender's
-   shed policy.  Forcing the {e config} rather than the schedule is what
-   makes the mutation survive the [shed=none] shrink transform — the
-   oracle must catch it from the observed behaviour alone. *)
-let shed_clobber_config (config : CT.config) =
-  let base_classify = config.CT.classify in
-  {
-    config with
-    CT.classify =
-      (fun t_id ->
-        if t_id = 0 then Labelling.Significance.Sheddable 1
-        else base_classify t_id);
-    shed_txs =
-      (if config.CT.shed_txs > 0 then config.CT.shed_txs
-       else if config.CT.give_up_txs > 1 then min 2 (config.CT.give_up_txs - 1)
-       else 0);
-  }
+(* The endpoints' config.  The Shed_clobber mutation, part 1: both
+   endpoints mis-classify TPDU 0 as expendable and (if the schedule did
+   not already) arm the sender's shed policy.  Forcing the {e config}
+   rather than the schedule is what makes the mutation survive the
+   [shed=none] shrink transform — the oracle must catch it from the
+   observed behaviour alone. *)
+let config_of ~mutation s =
+  let config = Schedule.config_of s in
+  if mutation <> Shed_clobber then config
+  else
+    let base_classify = config.CT.classify in
+    {
+      config with
+      CT.classify =
+        (fun t_id ->
+          if t_id = 0 then Labelling.Significance.Sheddable 1
+          else base_classify t_id);
+      shed_txs =
+        (if config.CT.shed_txs > 0 then config.CT.shed_txs
+         else if config.CT.give_up_txs > 1 then
+           min 2 (config.CT.give_up_txs - 1)
+         else 0);
+    }
 
 (* Part 2's door predicate: a packet carrying TPDU-0 payload (data or ED
    chunks).  Signal chunks pass — the shed signal itself must reach the
@@ -269,7 +152,6 @@ let carries_tid0_payload b =
 
 let build_plumbing ~mutation ~trace (s : Schedule.t) engine to_receiver_raw =
   let trec fmt = make_trec engine trace fmt in
-  let mutated = ref 0 in
   let door_count = ref 0 in
   let to_receiver b =
     incr door_count;
@@ -279,25 +161,20 @@ let build_plumbing ~mutation ~trace (s : Schedule.t) engine to_receiver_raw =
     | No_mutation | Corrupt_restore | Overlap_clobber | Byz_clobber ->
         to_receiver_raw b
     | Shed_clobber ->
-        if carries_tid0_payload b then begin
-          incr mutated;
+        if carries_tid0_payload b then
           trec "MUTATION swallow TPDU-0 packet #%d" n
-        end
         else to_receiver_raw b
     | Flip_every k when k > 0 && n mod k = 0 ->
-        incr mutated;
         trec "MUTATION flip byte of packet #%d" n;
         let b = Bytes.copy b in
         let i = 50 mod Bytes.length b in
         Bytes.set b i (Char.chr (Char.code (Bytes.get b i) lxor 0x10));
         to_receiver_raw b
     | Dup_every k when k > 0 && n mod k = 0 ->
-        incr mutated;
         trec "MUTATION duplicate packet #%d" n;
         to_receiver_raw b;
         to_receiver_raw b
     | Drop_every k when k > 0 && n mod k = 0 ->
-        incr mutated;
         trec "MUTATION drop packet #%d" n
     | Flip_every _ | Dup_every _ | Drop_every _ -> to_receiver_raw b
   in
@@ -379,7 +256,6 @@ let build_plumbing ~mutation ~trace (s : Schedule.t) engine to_receiver_raw =
         fun b -> Netsim.Outage.send valve b
   in
   {
-    engine;
     forward_send;
     door = to_receiver_raw;
     forward_stats = (fun () -> Netsim.Multipath.aggregate_stats forward);
@@ -390,7 +266,6 @@ let build_plumbing ~mutation ~trace (s : Schedule.t) engine to_receiver_raw =
           (fun acc gw ->
             acc + (Netsim.Gateway.stats gw).Netsim.Gateway.malformed)
           0 !gws);
-    mutated;
   }
 
 (* The reverse path, with the optional ACK black hole in front of it. *)
@@ -418,53 +293,87 @@ let build_reverse ~trace (s : Schedule.t) engine deliver =
 
    A crash drops the endpoint's in-memory state and every packet that
    arrives during the down window; the restart rebuilds the endpoint
-   from the persisted snapshot + journal.  Everything here is shared by
-   the single- and multi-connection paths. *)
+   from the persisted snapshot + journal.  One harness does this for
+   both endpoint shapes — the single receiver and the demultiplexer —
+   driving each through the record below. *)
 
-(* Per-run crash bookkeeping: counters the oracle's recovery checks
+type 'e endpoint = {
+  name : string;  (* in trace lines *)
+  empty : Persist.endpoint_image;  (* what recovery starts from *)
+  quota_elems : int;
+  export : 'e -> Persist.endpoint_image;
+  restore : Persist.endpoint_image -> 'e option;
+      (* [None] on an image of the other endpoint shape *)
+  reannounce : 'e -> unit;
+  quiesce : 'e -> unit;  (* what a crash does to the live instance *)
+  stats : 'e -> CT.Rx_stats.t;
+  verifier : 'e -> Edc.Verifier.stats;
+  fastpath : 'e -> Transport.Flowcache.stats;
+  governor : 'e -> Transport.Governor.stats;
+}
+
+(* The live endpoint instance, its crash valve and persist store, and
+   the per-run crash bookkeeping: counters the oracle's recovery checks
    read, plus the statistics of every endpoint incarnation the run went
    through (a restored instance restarts its own at zero), folded in by
    [absorb] at each crash and once at the end of the run. *)
-type crash_track = {
-  mutable ct_crashes : int;
-  mutable ct_restores : int;
-  mutable ct_bad : int;  (* recovery-safety probe failures *)
-  mutable ct_over_budget : int;
-  mutable ct_roundtrip : int;
-  mutable ct_corrupted : bool;  (* Corrupt_restore already applied *)
-  mutable ct_rx : CT.Rx_stats.t;
-  mutable ct_verifier : Edc.Verifier.stats;
-  mutable ct_fastpath : Transport.Flowcache.stats;
-  mutable ct_high_water : int;  (* governor high water, max over all *)
+type 'e harness = {
+  live : 'e option ref;
+  store : Persist.Store.t;
+  persist : (Persist.event -> unit) option;
+  valve : Netsim.Blackout.t;
+  mutable crashes : int;
+  mutable restores : int;
+  mutable bad : int;  (* recovery-safety probe failures *)
+  mutable over_budget : int;
+  mutable roundtrip : int;
+  mutable corrupted : bool;  (* Corrupt_restore already applied *)
+  mutable rx : CT.Rx_stats.t;
+  mutable verifier : Edc.Verifier.stats;
+  mutable fastpath : Transport.Flowcache.stats;
+  mutable high_water : int;  (* governor high water, max over all *)
 }
 
-let crash_track () =
+(* A crashed endpoint neither receives nor buffers: the valve in front
+   of [ingest] discards everything that arrives at the door inside a
+   crash window. *)
+let harness engine (s : Schedule.t) ~ingest =
+  let live = ref None in
+  let store = Persist.Store.create () in
   {
-    ct_crashes = 0;
-    ct_restores = 0;
-    ct_bad = 0;
-    ct_over_budget = 0;
-    ct_roundtrip = 0;
-    ct_corrupted = false;
-    ct_rx = CT.Rx_stats.zero ();
-    ct_verifier = Edc.Verifier.zero_stats;
-    ct_fastpath = Transport.Flowcache.zero_stats;
-    ct_high_water = 0;
+    live;
+    store;
+    persist =
+      (if s.Schedule.crashes <> [] then
+         Some (fun ev -> Persist.Store.append store ev)
+       else None);
+    valve =
+      Netsim.Blackout.create engine
+        ~windows:
+          (List.map
+             (fun (c : Schedule.crash) ->
+               ( c.Schedule.cr_time,
+                 c.Schedule.cr_time +. c.Schedule.cr_restart ))
+             s.Schedule.crashes)
+        ~deliver:(fun b -> match !live with Some e -> ingest e b | None -> ())
+        ();
+    crashes = 0;
+    restores = 0;
+    bad = 0;
+    over_budget = 0;
+    roundtrip = 0;
+    corrupted = false;
+    rx = CT.Rx_stats.zero ();
+    verifier = Edc.Verifier.zero_stats;
+    fastpath = Transport.Flowcache.zero_stats;
+    high_water = 0;
   }
 
-let absorb ct ~rx ~verifier ~fastpath (gov : Transport.Governor.stats) =
-  ct.ct_rx <- CT.Rx_stats.add ct.ct_rx rx;
-  ct.ct_verifier <- Edc.Verifier.add_stats ct.ct_verifier verifier;
-  ct.ct_fastpath <- Transport.Flowcache.add_stats ct.ct_fastpath fastpath;
-  ct.ct_high_water <- max ct.ct_high_water gov.Transport.Governor.high_water
-
-(* The codec must be a fixpoint on every image it produced itself; a
-   re-encode that fails to decode back to the same value means the
-   snapshot format lies about something. *)
-let codec_roundtrip_ok img =
-  match Persist.decode_endpoint (Persist.encode_endpoint img) with
-  | Ok img' -> img' = img
-  | Error _ -> false
+let absorb h ep e =
+  h.rx <- CT.Rx_stats.add h.rx (ep.stats e);
+  h.verifier <- Edc.Verifier.add_stats h.verifier (ep.verifier e);
+  h.fastpath <- Transport.Flowcache.add_stats h.fastpath (ep.fastpath e);
+  h.high_water <- max h.high_water (ep.governor e).Transport.Governor.high_water
 
 (* The Corrupt_restore mutation: flip one byte that the image claims is
    already {e verified}.  Verified bytes are exactly the ones recovery
@@ -514,12 +423,26 @@ let corrupt_image ~elem_size (img : Persist.endpoint_image) =
 (* Recovery-safety probe on a freshly restored endpoint's re-export: a
    T.ID both in the ledger and among the in-flight verifier images means
    the endpoint would verify (and deliver) a TPDU it already promised
-   was done — double delivery waiting to happen. *)
-let ledger_in_flight_clash ~acked (ri : Persist.receiver_image) =
-  List.exists
-    (fun (ti : Edc.Verifier.tpdu_image) ->
-      List.mem ti.Edc.Verifier.ti_t_id acked)
-    ri.Persist.ri_tpdus
+   was done — double delivery waiting to happen.  Counts the receivers
+   (one per live connection) that clash. *)
+let ledger_clashes img =
+  let clash ~acked (ri : Persist.receiver_image) =
+    List.exists
+      (fun (ti : Edc.Verifier.tpdu_image) ->
+        List.mem ti.Edc.Verifier.ti_t_id acked)
+      ri.Persist.ri_tpdus
+  in
+  match img with
+  | Persist.Single si ->
+      Bool.to_int (clash ~acked:si.Persist.s_acked si.Persist.s_rx)
+  | Persist.Multi conns ->
+      List.length
+        (List.filter
+           (fun (ci : Persist.conn_image) ->
+             match ci.Persist.ci_live with
+             | Some ri -> clash ~acked:ci.Persist.ci_acked ri
+             | None -> false)
+           conns)
 
 (* Snapshots are scheduled up front at k·snap_period for every k that
    lands before the last crash (later ones could never be consulted),
@@ -541,6 +464,144 @@ let schedule_snapshots engine (s : Schedule.t) store export_now =
       incr k
     done
   end
+
+(* Make [first] the live instance and schedule the run's snapshots and
+   crash/restart events.  A restart recovers the persisted image, checks
+   the codec round trip, applies the Corrupt_restore mutation, restores
+   the endpoint, and then probes it: the re-export must reproduce the
+   image, the ledger must not clash with in-flight state, the governor
+   must fit the budget.  Only then is the endpoint reannounced. *)
+let arm_crashes h ep engine (s : Schedule.t) ~mutation ~trace first =
+  let trec fmt = make_trec engine trace fmt in
+  h.live := Some first;
+  schedule_snapshots engine s h.store (fun () ->
+      Option.map ep.export !(h.live));
+  let restore_now (c : Schedule.crash) =
+    let t0 = Unix.gettimeofday () in
+    match
+      Persist.Store.recover ~elem_size:s.Schedule.elem_size
+        ~quota_elems:ep.quota_elems ~empty:ep.empty h.store
+    with
+    | Error msg ->
+        h.bad <- h.bad + 1;
+        trec "RESTORE failed: %s" msg
+    | Ok (img, torn) -> (
+        if torn then trec "RESTORE journal torn, tail discarded";
+        (* The codec must be a fixpoint on every image it produced
+           itself; a re-encode that fails to decode back to the same
+           value means the snapshot format lies about something. *)
+        if Persist.decode_endpoint (Persist.encode_endpoint img) <> Ok img
+        then h.roundtrip <- h.roundtrip + 1;
+        let img =
+          if mutation = Corrupt_restore && not h.corrupted then
+            match corrupt_image ~elem_size:s.Schedule.elem_size img with
+            | Some img' ->
+                h.corrupted <- true;
+                trec "MUTATION corrupt restored image";
+                img'
+            | None -> img
+          else img
+        in
+        match ep.restore img with
+        | None -> h.bad <- h.bad + 1
+        | Some e ->
+            if Obs.enabled then
+              Obs.Metrics.observe_s Persist.m_recovery
+                (Unix.gettimeofday () -. t0);
+            (* Re-export must reproduce the image (structural round
+               trip), unless the restore itself evicted, displaced or
+               collected state — then the budget legitimately trimmed
+               the image. *)
+            let re = ep.export e in
+            let st = ep.stats e in
+            if
+              st.CT.Rx_stats.evictions = 0
+              && st.CT.Rx_stats.displaced_conns = 0
+              && st.CT.Rx_stats.conn_gcs = 0
+              && re <> img
+            then h.roundtrip <- h.roundtrip + 1;
+            h.bad <- h.bad + ledger_clashes re;
+            if
+              s.Schedule.state_budget > 0
+              && (ep.governor e).Transport.Governor.accounted_bytes
+                 > s.Schedule.state_budget
+            then h.over_budget <- h.over_budget + 1;
+            h.restores <- h.restores + 1;
+            ep.reannounce e;
+            h.live := Some e;
+            trec "RESTART %s after %.4fs down" ep.name c.Schedule.cr_restart)
+  in
+  List.iter
+    (fun (c : Schedule.crash) ->
+      Netsim.Engine.schedule engine ~delay:c.Schedule.cr_time (fun () ->
+          match !(h.live) with
+          | None -> ()
+          | Some e ->
+              h.crashes <- h.crashes + 1;
+              trec "CRASH %s, down %.4fs" ep.name c.Schedule.cr_restart;
+              absorb h ep e;
+              ep.quiesce e;
+              h.live := None);
+      Netsim.Engine.schedule engine
+        ~delay:(c.Schedule.cr_time +. c.Schedule.cr_restart)
+        (fun () -> match !(h.live) with None -> restore_now c | Some _ -> ()))
+    s.Schedule.crashes
+
+(* At the end of a run: the final endpoint incarnation (the first one,
+   if the run ended while crashed) with its statistics folded in, and
+   the observation fields the harness, the plumbing, the metrics probe
+   and the senders determine alike on both paths — each path overrides
+   the rest. *)
+let observe h ep first engine p probe0 senders =
+  let e = match !(h.live) with Some e -> e | None -> first in
+  absorb h ep e;
+  let sum f = List.fold_left (fun acc tx -> acc + f tx) 0 senders in
+  ( e,
+    {
+      ok = false;
+      complete = false;
+      gave_up = false;
+      finished = false;
+      delivered = Bytes.empty;
+      delivered_elems = 0;
+      retransmissions = sum CT.Sender.retransmissions;
+      sack_retransmissions = sum CT.Sender.sack_retransmissions;
+      packets_sent = sum CT.Sender.packets_sent;
+      verifier = h.verifier;
+      verifier_in_flight = 0;
+      stashed_tpdus = 0;
+      engine_pending = Netsim.Engine.pending engine;
+      sim_time = Netsim.Engine.now engine;
+      forward = p.forward_stats ();
+      dropper = p.dropper_stats ();
+      gateways_malformed = p.gateways_malformed ();
+      rx_stats = h.rx;
+      aborts_sent = sum CT.Sender.aborts_sent;
+      sheds_sent = sum CT.Sender.sheds_sent;
+      shed_spans = [];
+      state_high_water = h.high_water;
+      state_accounted = (ep.governor e).Transport.Governor.accounted_bytes;
+      flood_injected = 0;
+      rtt_samples = sum CT.Sender.rtt_samples;
+      max_txs_at_rtt_sample =
+        List.fold_left
+          (fun acc tx -> max acc (CT.Sender.max_txs_at_rtt_sample tx))
+          0 senders;
+      final_rto = 0.0;
+      crashes_injected = h.crashes;
+      restores = h.restores;
+      recovery_bad = h.bad;
+      restore_over_budget = h.over_budget;
+      roundtrip_failures = h.roundtrip;
+      snapshots_taken = Persist.Store.snapshots_taken h.store;
+      journal_records = Persist.Store.journal_records h.store;
+      multi = None;
+      metrics = probe_end probe0;
+      overlap_injected = 0;
+      fastpath_stats = h.fastpath;
+      byz = None;
+      counterfactuals = [];
+    } )
 
 (* The Overlap_clobber mutation: a forged TPDU with a {e correct} WSC-2
    seal over divergent bytes, covering exactly the first data chunk's
@@ -592,45 +653,29 @@ let forge_clobber b =
 let reference_slots (s : Schedule.t) =
   if s.Schedule.fastpath then None else Some 0
 
-let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
-  let config = Schedule.config_of s in
-  let config =
-    if mutation = Shed_clobber then shed_clobber_config config else config
-  in
+let run_single ~mutation ~trace ~overlap_salt (s : Schedule.t) =
+  let config = config_of ~mutation s in
   let data = Schedule.data_of s in
   let engine = Netsim.Engine.create ~seed:s.seed () in
   let trec fmt = make_trec engine trace fmt in
-  let receiver = ref None in
   let sender = ref None in
-  (* A crashed endpoint neither receives nor buffers: the valve discards
-     everything that arrives at the door inside a crash window. *)
-  let crash_valve =
-    Netsim.Blackout.create engine
-      ~windows:
-        (List.map
-           (fun (c : Schedule.crash) ->
-             (c.Schedule.cr_time, c.Schedule.cr_time +. c.Schedule.cr_restart))
-           s.Schedule.crashes)
-      ~deliver:(fun b ->
-        match !receiver with Some r -> CT.Receiver.ingest r b | None -> ())
-      ()
-  in
+  let h = harness engine s ~ingest:CT.Receiver.ingest in
   (* The overlap adversary taps the door (before its own injections, so
      it never feeds on itself) and injects straight past the tap. *)
   let overlapper = ref None in
-  let clobbered = ref 0 in
+  let clobbered = ref false in
   let to_receiver_raw b =
     (match !overlapper with
     | Some o -> Netsim.Overlapper.observe o b
     | None -> ());
-    (if mutation = Overlap_clobber && !clobbered = 0 then
+    (if mutation = Overlap_clobber && not !clobbered then
        match forge_clobber b with
        | Some pkts ->
-           clobbered := 1;
+           clobbered := true;
            trec "MUTATION forged clobber TPDU ahead of packet";
-           List.iter (Netsim.Blackout.send crash_valve) pkts
+           List.iter (Netsim.Blackout.send h.valve) pkts
        | None -> ());
-    Netsim.Blackout.send crash_valve b
+    Netsim.Blackout.send h.valve b
   in
   let p = build_plumbing ~mutation ~trace s engine to_receiver_raw in
   (match s.Schedule.overlap with
@@ -643,7 +688,7 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
              ~rate:o.Schedule.ov_rate ~stop:o.Schedule.ov_stop
              ~dup:o.Schedule.ov_dup ~forge:o.Schedule.ov_forge
              ~resplit:o.Schedule.ov_resplit
-             ~inject:(fun b -> Netsim.Blackout.send crash_valve b)
+             ~inject:(fun b -> Netsim.Blackout.send h.valve b)
              ()));
   let probe0 = probe_start () in
   let reverse_send =
@@ -651,128 +696,52 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
         match !sender with Some t -> CT.Sender.on_packet t b | None -> ())
   in
   let expected_elems =
-    CT.expected_elements config ~data_len:(Bytes.length data)
+    CT.expected_elements config ~data_len:s.Schedule.data_len
   in
-  let store = Persist.Store.create () in
-  let persist_opt =
-    if s.Schedule.crashes <> [] then
-      Some (fun ev -> Persist.Store.append store ev)
-    else None
-  in
-  let rx =
-    CT.Receiver.create engine config ?persist:persist_opt
-      ~send_ack:reverse_send
-      ~capacity:(`Exact expected_elems) ()
-  in
-  receiver := Some rx;
-  let ct = crash_track () in
-  let absorb_rx rx =
-    absorb ct ~rx:(CT.Receiver.stats rx)
-      ~verifier:(CT.Receiver.verifier_stats rx)
-      ~fastpath:Transport.Flowcache.zero_stats
-      (CT.Receiver.governor_stats rx)
-  in
-  schedule_snapshots engine s store (fun () ->
-      Option.map
+  let ep =
+    {
+      name = "receiver";
+      empty =
+        Persist.Single
+          {
+            Persist.s_acked = [];
+            s_rx = Persist.empty_receiver ~conn:config.CT.conn_id;
+          };
+      quota_elems = expected_elems;
+      export =
         (fun rx ->
           Persist.Single
             {
               Persist.s_acked = CT.Receiver.acked_tids rx;
               s_rx = CT.Receiver.export rx;
-            })
-        !receiver);
-  let restore_now (c : Schedule.crash) =
-    let t0 = Unix.gettimeofday () in
-    match
-      Persist.Store.recover ~elem_size:s.Schedule.elem_size
-        ~quota_elems:expected_elems
-        ~empty:
-          (Persist.Single
-             {
-               Persist.s_acked = [];
-               s_rx = Persist.empty_receiver ~conn:config.CT.conn_id;
-             })
-        store
-    with
-    | Error msg ->
-        ct.ct_bad <- ct.ct_bad + 1;
-        trec "RESTORE failed: %s" msg
-    | Ok (img, torn) ->
-        if torn then trec "RESTORE journal torn, tail discarded";
-        if not (codec_roundtrip_ok img) then
-          ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-        let img =
-          if mutation = Corrupt_restore && not ct.ct_corrupted then
-            match corrupt_image ~elem_size:s.Schedule.elem_size img with
-            | Some img' ->
-                ct.ct_corrupted <- true;
-                incr p.mutated;
-                trec "MUTATION corrupt restored image";
-                img'
-            | None -> img
-          else img
-        in
-        (match img with
-        | Persist.Multi _ -> ct.ct_bad <- ct.ct_bad + 1
+            });
+      restore =
+        (function
         | Persist.Single si ->
-            let rx =
-              CT.Receiver.restore engine config ?persist:persist_opt
-                ~send_ack:reverse_send
-                ~capacity:(`Exact expected_elems)
-                si.Persist.s_rx ~acked_tids:si.Persist.s_acked
-            in
-            if Obs.enabled then
-              Obs.Metrics.observe_s Persist.m_recovery
-                (Unix.gettimeofday () -. t0);
-            (* Re-export must reproduce the image (structural round
-               trip), unless the restore itself evicted state — then the
-               budget legitimately trimmed the image. *)
-            let re =
-              {
-                Persist.s_acked = CT.Receiver.acked_tids rx;
-                s_rx = CT.Receiver.export rx;
-              }
-            in
-            if
-              (CT.Receiver.stats rx).CT.Rx_stats.evictions = 0
-              && Persist.Single re <> img
-            then
-              ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-            if ledger_in_flight_clash ~acked:re.Persist.s_acked re.Persist.s_rx
-            then ct.ct_bad <- ct.ct_bad + 1;
-            let gov = CT.Receiver.governor_stats rx in
-            if
-              s.Schedule.state_budget > 0
-              && gov.Transport.Governor.accounted_bytes
-                 > s.Schedule.state_budget
-            then ct.ct_over_budget <- ct.ct_over_budget + 1;
-            ct.ct_restores <- ct.ct_restores + 1;
-            CT.Receiver.reannounce rx;
-            receiver := Some rx;
-            trec "RESTART receiver after %.4fs down" c.Schedule.cr_restart)
+            Some
+              (CT.Receiver.restore engine config ?persist:h.persist
+                 ~send_ack:reverse_send
+                 ~capacity:(`Exact expected_elems)
+                 si.Persist.s_rx ~acked_tids:si.Persist.s_acked)
+        | Persist.Multi _ -> None);
+      reannounce = CT.Receiver.reannounce;
+      quiesce = CT.Receiver.quiesce;
+      stats = CT.Receiver.stats;
+      verifier = CT.Receiver.verifier_stats;
+      fastpath = (fun _ -> Transport.Flowcache.zero_stats);
+      governor = CT.Receiver.governor_stats;
+    }
   in
-  List.iter
-    (fun (c : Schedule.crash) ->
-      Netsim.Engine.schedule engine ~delay:c.Schedule.cr_time (fun () ->
-          match !receiver with
-          | None -> ()
-          | Some rx ->
-              ct.ct_crashes <- ct.ct_crashes + 1;
-              trec "CRASH receiver, down %.4fs" c.Schedule.cr_restart;
-              absorb_rx rx;
-              CT.Receiver.quiesce rx;
-              receiver := None);
-      Netsim.Engine.schedule engine
-        ~delay:(c.Schedule.cr_time +. c.Schedule.cr_restart)
-        (fun () ->
-          match !receiver with None -> restore_now c | Some _ -> ()))
-    s.Schedule.crashes;
+  let rx =
+    CT.Receiver.create engine config ?persist:h.persist ~send_ack:reverse_send
+      ~capacity:(`Exact expected_elems) ()
+  in
+  arm_crashes h ep engine s ~mutation ~trace rx;
   let tx = CT.Sender.create engine config ~send:p.forward_send ~data () in
   sender := Some tx;
   CT.Sender.start tx;
   Netsim.Engine.run ~until:horizon engine;
-  let rx = match !receiver with Some r -> r | None -> rx in
-  absorb_rx rx;
+  let rx, o = observe h ep rx engine p probe0 [ tx ] in
   let delivered = CT.Receiver.contents rx in
   let n = Bytes.length data in
   let shed_spans = CT.Receiver.shed_spans rx in
@@ -790,62 +759,30 @@ let run_single ~mutation ~trace ?(overlap_salt = 0) (s : Schedule.t) =
           ~expected:data ~delivered
   in
   trec "run end: ok=%b pending=%d" ok (Netsim.Engine.pending engine);
-  let gov = CT.Receiver.governor_stats rx in
   {
+    o with
     ok;
     complete = CT.Receiver.complete rx;
     gave_up = CT.Sender.gave_up tx;
     finished = CT.Sender.finished tx;
     delivered;
     delivered_elems = CT.Receiver.delivered_elems rx;
-    retransmissions = CT.Sender.retransmissions tx;
-    sack_retransmissions = CT.Sender.sack_retransmissions tx;
-    tpdus_sent = CT.Sender.tpdus_sent tx;
-    packets_sent = CT.Sender.packets_sent tx;
     (* Whole-epoch counts: pass totals carry across restarts via
        [epoch_passes]; the other counters are accumulated over every
        receiver instance the run went through. *)
     verifier =
       {
-        ct.ct_verifier with
+        h.verifier with
         Edc.Verifier.tpdus_passed = CT.Receiver.epoch_passes rx;
       };
     verifier_in_flight = CT.Receiver.verifier_in_flight rx;
     stashed_tpdus = CT.Receiver.stashed_tpdus rx;
-    engine_pending = Netsim.Engine.pending engine;
-    sim_time = Netsim.Engine.now engine;
-    forward = p.forward_stats ();
-    dropper = p.dropper_stats ();
-    gateways_malformed = p.gateways_malformed ();
-    mutated_packets = !(p.mutated) + !clobbered;
-    rx_stats = ct.ct_rx;
-    aborts_sent = CT.Sender.aborts_sent tx;
-    sheds_sent = CT.Sender.sheds_sent tx;
     shed_spans;
-    state_high_water = ct.ct_high_water;
-    state_accounted = gov.Transport.Governor.accounted_bytes;
-    flood_injected = 0;
-    rtt_samples = CT.Sender.rtt_samples tx;
-    max_txs_at_rtt_sample = CT.Sender.max_txs_at_rtt_sample tx;
     final_rto = CT.Sender.current_rto tx;
-    crashes_injected = ct.ct_crashes;
-    restores = ct.ct_restores;
-    recovery_bad = ct.ct_bad;
-    restore_over_budget = ct.ct_over_budget;
-    roundtrip_failures = ct.ct_roundtrip;
-    snapshots_taken = Persist.Store.snapshots_taken store;
-    journal_records = Persist.Store.journal_records store;
-    multi = None;
-    metrics = probe_end probe0;
     overlap_injected =
       (match !overlapper with
       | Some o -> (Netsim.Overlapper.stats o).Netsim.Overlapper.injected
       | None -> 0);
-    permuted = None;
-    fastpath_stats = ct.ct_fastpath;
-    coherence = None;
-    byz = None;
-    blast = None;
   }
 
 (* T.ID spaces of successive epochs of one connection must be disjoint
@@ -864,24 +801,10 @@ type ep = {
 }
 
 let run_multi ~mutation ~trace (s : Schedule.t) =
-  let config = Schedule.config_of s in
-  let config =
-    if mutation = Shed_clobber then shed_clobber_config config else config
-  in
+  let config = config_of ~mutation s in
   let engine = Netsim.Engine.create ~seed:s.seed () in
   let trec fmt = make_trec engine trace fmt in
-  let multi = ref None in
-  let crash_valve =
-    Netsim.Blackout.create engine
-      ~windows:
-        (List.map
-           (fun (c : Schedule.crash) ->
-             (c.Schedule.cr_time, c.Schedule.cr_time +. c.Schedule.cr_restart))
-           s.Schedule.crashes)
-      ~deliver:(fun b ->
-        match !multi with Some m -> Transport.Multi.ingest m b | None -> ())
-      ()
-  in
+  let h = harness engine s ~ingest:Transport.Multi.ingest in
   (* The byzantine peer taps the door for its replay ring (before its
      own injections, so it never feeds on itself). *)
   let byzantine = ref None in
@@ -889,7 +812,7 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
     (match !byzantine with
     | Some bz -> Netsim.Byzantine.observe bz b
     | None -> ());
-    Netsim.Blackout.send crash_valve b
+    Netsim.Blackout.send h.valve b
   in
   let p = build_plumbing ~mutation ~trace s engine to_receiver_raw in
   let probe0 = probe_start () in
@@ -916,115 +839,43 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
   let quota_elems =
     CT.expected_elements config ~data_len:s.Schedule.data_len
   in
-  let store = Persist.Store.create () in
-  let persist_opt =
-    if s.Schedule.crashes <> [] then
-      Some (fun ev -> Persist.Store.append store ev)
-    else None
-  in
   let max_conns = s.Schedule.connections + 8 in
   (* The byz-clobber mutation switches the quarantine off wholesale —
      at creation and at every restore, so a crash cannot silently
      re-arm the defense mid-mutation. *)
-  let anomaly_budget =
-    match mutation with Byz_clobber -> Some 0 | _ -> None
-  in
-  let m =
-    Transport.Multi.create engine ~config ~quota_elems ~max_conns
-      ?persist:persist_opt ?fastpath_slots:(reference_slots s)
-      ?anomaly_budget ~send_ack:reverse_send ()
-  in
-  multi := Some m;
-  let ct = crash_track () in
+  let anomaly_budget = if mutation = Byz_clobber then Some 0 else None in
   (* Archived epochs release their verifiers, so no meaningful verifier
      aggregate exists; the oracle's verifier-stats checks are
      single-path only. *)
-  let absorb_multi m =
-    absorb ct ~rx:(Transport.Multi.stats m) ~verifier:Edc.Verifier.zero_stats
-      ~fastpath:(Transport.Multi.fastpath_stats m).Transport.Multi.fp_conn
-      (Transport.Multi.governor_stats m)
-  in
-  schedule_snapshots engine s store (fun () ->
-      Option.map
-        (fun m -> Persist.Multi (Transport.Multi.export m))
-        !multi);
-  let restore_now () =
-    let t0 = Unix.gettimeofday () in
-    match
-      Persist.Store.recover ~elem_size:s.Schedule.elem_size ~quota_elems
-        ~empty:(Persist.Multi []) store
-    with
-    | Error msg ->
-        ct.ct_bad <- ct.ct_bad + 1;
-        trec "RESTORE failed: %s" msg
-    | Ok (img, torn) ->
-        if torn then trec "RESTORE journal torn, tail discarded";
-        if not (codec_roundtrip_ok img) then
-          ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-        let img =
-          if mutation = Corrupt_restore && not ct.ct_corrupted then
-            match corrupt_image ~elem_size:s.Schedule.elem_size img with
-            | Some img' ->
-                ct.ct_corrupted <- true;
-                incr p.mutated;
-                trec "MUTATION corrupt restored image";
-                img'
-            | None -> img
-          else img
-        in
-        (match img with
-        | Persist.Single _ -> ct.ct_bad <- ct.ct_bad + 1
+  let ep =
+    {
+      name = "demultiplexer";
+      empty = Persist.Multi [];
+      quota_elems;
+      export = (fun m -> Persist.Multi (Transport.Multi.export m));
+      restore =
+        (function
         | Persist.Multi conns ->
-            let m' =
-              Transport.Multi.restore engine ~config ~quota_elems ~max_conns
-                ?persist:persist_opt ?fastpath_slots:(reference_slots s)
-                ?anomaly_budget ~send_ack:reverse_send conns
-            in
-            if Obs.enabled then
-              Obs.Metrics.observe_s Persist.m_recovery
-                (Unix.gettimeofday () -. t0);
-            let re = Transport.Multi.export m' in
-            let st = Transport.Multi.stats m' in
-            if
-              st.CT.Rx_stats.evictions = 0
-              && st.CT.Rx_stats.displaced_conns = 0
-              && st.CT.Rx_stats.conn_gcs = 0
-              && Persist.Multi re <> img
-            then ct.ct_roundtrip <- ct.ct_roundtrip + 1;
-            List.iter
-              (fun (ci : Persist.conn_image) ->
-                match ci.Persist.ci_live with
-                | Some ri ->
-                    if ledger_in_flight_clash ~acked:ci.Persist.ci_acked ri
-                    then ct.ct_bad <- ct.ct_bad + 1
-                | None -> ())
-              re;
-            let gov = Transport.Multi.governor_stats m' in
-            if
-              s.Schedule.state_budget > 0
-              && gov.Transport.Governor.accounted_bytes
-                 > s.Schedule.state_budget
-            then ct.ct_over_budget <- ct.ct_over_budget + 1;
-            ct.ct_restores <- ct.ct_restores + 1;
-            Transport.Multi.reannounce m';
-            multi := Some m';
-            trec "RESTART demultiplexer")
+            Some
+              (Transport.Multi.restore engine ~config ~quota_elems ~max_conns
+                 ?persist:h.persist ?fastpath_slots:(reference_slots s)
+                 ?anomaly_budget ~send_ack:reverse_send conns)
+        | Persist.Single _ -> None);
+      reannounce = Transport.Multi.reannounce;
+      quiesce = Transport.Multi.teardown;
+      stats = Transport.Multi.stats;
+      verifier = (fun _ -> Edc.Verifier.zero_stats);
+      fastpath =
+        (fun m -> (Transport.Multi.fastpath_stats m).Transport.Multi.fp_conn);
+      governor = Transport.Multi.governor_stats;
+    }
   in
-  List.iter
-    (fun (c : Schedule.crash) ->
-      Netsim.Engine.schedule engine ~delay:c.Schedule.cr_time (fun () ->
-          match !multi with
-          | None -> ()
-          | Some m ->
-              ct.ct_crashes <- ct.ct_crashes + 1;
-              trec "CRASH demultiplexer, down %.4fs" c.Schedule.cr_restart;
-              absorb_multi m;
-              Transport.Multi.teardown m;
-              multi := None);
-      Netsim.Engine.schedule engine
-        ~delay:(c.Schedule.cr_time +. c.Schedule.cr_restart)
-        (fun () -> match !multi with None -> restore_now () | Some _ -> ()))
-    s.Schedule.crashes;
+  let m =
+    Transport.Multi.create engine ~config ~quota_elems ~max_conns
+      ?persist:h.persist ?fastpath_slots:(reference_slots s)
+      ?anomaly_budget ~send_ack:reverse_send ()
+  in
+  arm_crashes h ep engine s ~mutation ~trace m;
   (* Plan the (connection, epoch) transfers: every connection one epoch,
      connection 1 a second one when the schedule re-opens it. *)
   let eps =
@@ -1140,11 +991,11 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
              ~elem_size:s.Schedule.elem_size ~acks:b.Schedule.bz_acks
              ~sheds:b.Schedule.bz_sheds ~replay:b.Schedule.bz_replay
              ~garbage:b.Schedule.bz_garbage
-             ~inject:(fun b -> Netsim.Blackout.send crash_valve b)
+             ~inject:(fun b -> Netsim.Blackout.send h.valve b)
              ~inject_ack:demux_reverse ()));
   Netsim.Engine.run ~until:horizon engine;
-  let m = match !multi with Some m -> m | None -> m in
-  absorb_multi m;
+  let txs = List.filter_map (fun ep -> ep.ep_tx) eps in
+  let m, o = observe h ep m engine p probe0 txs in
   (* Join the driver-side epochs with the receiver-side reports. *)
   let mo_epochs =
     List.map
@@ -1187,193 +1038,100 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
     && List.for_all (fun ep -> ep.ep_done) eps
   in
   trec "run end: ok=%b pending=%d" ok (Netsim.Engine.pending engine);
-  let sum f = List.fold_left (fun acc ep ->
-      match ep.ep_tx with Some tx -> acc + f tx | None -> acc) 0 eps
-  in
-  let gov = Transport.Multi.governor_stats m in
-  let first_epoch = List.hd mo_epochs in
   (* The endpoint-side view of the byzantine connections at quiescence.
      The quarantine ledger survives crashes (it is persisted per
      connection image), so [conn_stats] on the final incarnation is the
      whole run's story. *)
   let byz_report =
-    match !byzantine with
-    | None -> None
-    | Some bz ->
-        let conn_view cid =
-          match Transport.Multi.conn_stats m ~conn_id:cid with
-          | Some cs ->
-              {
-                bc_conn = cid;
-                bc_epochs = cs.Transport.Multi.cs_epochs;
-                bc_hist_bytes = cs.Transport.Multi.cs_hist_bytes;
-                bc_quarantines = cs.Transport.Multi.cs_quarantines;
-                bc_boxed = cs.Transport.Multi.cs_quarantined;
-              }
-          | None ->
-              {
-                bc_conn = cid;
-                bc_epochs = 0;
-                bc_hist_bytes = 0;
-                bc_quarantines = 0;
-                bc_boxed = false;
-              }
-        in
-        let honest_quarantined =
-          List.fold_left
-            (fun acc i ->
-              match Transport.Multi.conn_stats m ~conn_id:(i + 1) with
-              | Some cs
-                when cs.Transport.Multi.cs_quarantines > 0
-                     || cs.Transport.Multi.cs_poisoned ->
-                  acc + 1
-              | _ -> acc)
-            0
-            (List.init s.Schedule.connections Fun.id)
-        in
-        Some
-          {
-            bo_stats = Netsim.Byzantine.stats bz;
-            bo_conns = List.map conn_view (Netsim.Byzantine.conn_ids bz);
-            bo_honest_quarantined = honest_quarantined;
-            bo_sender_bogus_acks = sum CT.Sender.bogus_acks;
-          }
+    Option.map
+      (fun bz ->
+        let stats cid = Transport.Multi.conn_stats m ~conn_id:cid in
+        let view f cid = Option.fold ~none:0 ~some:f (stats cid) in
+        {
+          bo_stats = Netsim.Byzantine.stats bz;
+          bo_conns =
+            List.map
+              (fun cid ->
+                {
+                  bc_conn = cid;
+                  bc_epochs = view (fun cs -> cs.Transport.Multi.cs_epochs) cid;
+                  bc_hist_bytes =
+                    view (fun cs -> cs.Transport.Multi.cs_hist_bytes) cid;
+                })
+              (Netsim.Byzantine.conn_ids bz);
+          bo_honest_quarantined =
+            List.length
+              (List.filter
+                 (fun i ->
+                   match stats (i + 1) with
+                   | Some cs ->
+                       cs.Transport.Multi.cs_quarantines > 0
+                       || cs.Transport.Multi.cs_poisoned
+                   | None -> false)
+                 (List.init s.Schedule.connections Fun.id));
+        })
+      !byzantine
   in
+  let first_epoch = List.hd mo_epochs in
   {
+    o with
     ok;
     complete = List.for_all (fun e -> e.e_gave_up || e.e_complete) mo_epochs;
     gave_up = List.exists (fun e -> e.e_gave_up) mo_epochs;
     finished = List.for_all (fun ep -> ep.ep_done) eps;
     delivered =
       (match first_epoch.e_delivered with Some d -> d | None -> Bytes.empty);
-    delivered_elems = 0;
-    retransmissions = sum CT.Sender.retransmissions;
-    sack_retransmissions = sum CT.Sender.sack_retransmissions;
-    tpdus_sent = sum CT.Sender.tpdus_sent;
-    packets_sent = sum CT.Sender.packets_sent;
-    verifier = ct.ct_verifier;
     verifier_in_flight = Transport.Multi.live_in_flight m;
     stashed_tpdus = Transport.Multi.live_stashed m;
-    engine_pending = Netsim.Engine.pending engine;
-    sim_time = Netsim.Engine.now engine;
-    forward = p.forward_stats ();
-    dropper = p.dropper_stats ();
-    gateways_malformed = p.gateways_malformed ();
-    mutated_packets = !(p.mutated);
-    rx_stats = ct.ct_rx;
-    aborts_sent = sum CT.Sender.aborts_sent;
-    sheds_sent = sum CT.Sender.sheds_sent;
-    shed_spans = [];
-    state_high_water = ct.ct_high_water;
-    state_accounted = gov.Transport.Governor.accounted_bytes;
     flood_injected =
       (match adversary with
-      | Some a -> (Adversary.stats a).Adversary.injected
+      | Some a -> Adversary.injected a
       | None -> 0);
-    rtt_samples = sum CT.Sender.rtt_samples;
-    max_txs_at_rtt_sample =
-      List.fold_left
-        (fun acc ep ->
-          match ep.ep_tx with
-          | Some tx -> max acc (CT.Sender.max_txs_at_rtt_sample tx)
-          | None -> acc)
-        0 eps;
     final_rto = s.Schedule.rto;
-    crashes_injected = ct.ct_crashes;
-    restores = ct.ct_restores;
-    recovery_bad = ct.ct_bad;
-    restore_over_budget = ct.ct_over_budget;
-    roundtrip_failures = ct.ct_roundtrip;
-    snapshots_taken = Persist.Store.snapshots_taken store;
-    journal_records = Persist.Store.journal_records store;
     multi =
       Some
         {
           mo_epochs;
           mo_live_conns = Transport.Multi.live_conns m;
-          mo_known_conns = List.length (Transport.Multi.known_conns m);
         };
-    metrics = probe_end probe0;
-    overlap_injected = 0;
-    permuted = None;
-    fastpath_stats = ct.ct_fastpath;
-    coherence = None;
     byz = byz_report;
-    blast = None;
   }
 
+(* The counterfactual re-runs a schedule calls for, each with the
+   schedule it runs and its overlap-injection salt:
+   - [Permuted]: a different overlap-injection seed, so the adversary's
+     arrival order and mix over the same transfer are permuted —
+     whatever the interleaving, a completed transfer must deliver
+     byte-identical data;
+   - [Byz_free]: the byzantine peer removed.  Its RNG and wire paths are
+     disjoint from every honest draw, so the honest traffic is
+     byte-identical and the honest per-epoch outcomes must agree;
+   - [Cache_off]: the flow cache off.  Determinism makes the wire
+     identical packet for packet, so any observable divergence is the
+     cache's doing. *)
+let reruns (s : Schedule.t) =
+  List.filter_map Fun.id
+    [
+      (if s.Schedule.overlap <> None && not (Schedule.multi_mode s) then
+         Some (Permuted, s, 0x7E12A5)
+       else None);
+      (if s.Schedule.byz <> None then Some (Byz_free, { s with byz = None }, 0)
+       else None);
+      (if s.Schedule.fastpath then
+         Some (Cache_off, { s with Schedule.fastpath = false }, 0)
+       else None);
+    ]
+
 let run ?(mutation = No_mutation) ?trace (s : Schedule.t) =
-  let o =
-    if Schedule.multi_mode s then begin
-      let o = run_multi ~mutation ~trace s in
-      match s.Schedule.byz with
-      | None -> o
-      | Some _ ->
-          (* Blast-radius evidence: the identical (seed, schedule,
-             mutation) with the byzantine peer removed.  The peer's RNG
-             and wire paths are disjoint from every honest draw, so the
-             honest traffic is byte-identical — the oracle demands the
-             honest per-epoch outcomes agree exactly.  Forced through
-             [run_multi] even when the byz-free schedule would qualify
-             for the single path: the comparison must differ by the
-             adversary alone, not by the endpoint topology. *)
-          let o2 =
-            run_multi ~mutation ~trace:None { s with Schedule.byz = None }
-          in
-          {
-            o with
-            blast =
-              Some
-                {
-                  b_epochs =
-                    (match o2.multi with
-                    | Some m -> m.mo_epochs
-                    | None -> []);
-                };
-          }
-    end
-    else
-      let o = run_single ~mutation ~trace s in
-      match s.Schedule.overlap with
-      | None -> o
-      | Some _ ->
-          (* Overlap-determinism evidence: re-run with a different
-             overlap-injection seed, so the adversary's arrival order and
-             mix over the same transfer are permuted.  Whatever the
-             interleaving, a completed transfer must deliver byte-identical
-             data — the oracle compares the two deliveries. *)
-          let o2 = run_single ~mutation ~trace:None ~overlap_salt:0x7E12A5 s in
-          {
-            o with
-            permuted =
-              Some
-                {
-                  p_delivered = o2.delivered;
-                  p_complete = o2.complete;
-                  p_gave_up = o2.gave_up;
-                };
-          }
+  (* A re-run keeps the primary run's endpoint shape even when its own
+     schedule would qualify for the other one: the comparison must
+     differ by the one thing the re-run changes, not by the endpoint. *)
+  let exec ~trace ~overlap_salt s' =
+    if Schedule.multi_mode s then run_multi ~mutation ~trace s'
+    else run_single ~mutation ~trace ~overlap_salt s'
   in
-  if not s.Schedule.fastpath then o
-  else
-    (* Cache-coherence evidence: the identical (seed, schedule) with the
-       flow cache off.  Determinism makes the wire identical packet for
-       packet, so any observable divergence is the cache's doing — the
-       oracle demands equal completion flags and byte-identical delivery
-       for every epoch. *)
-    let s_off = { s with Schedule.fastpath = false } in
-    let o_off =
-      if Schedule.multi_mode s_off then run_multi ~mutation ~trace:None s_off
-      else run_single ~mutation ~trace:None s_off
-    in
-    {
-      o with
-      coherence =
-        Some
-          {
-            c_complete = o_off.complete;
-            c_gave_up = o_off.gave_up;
-            c_delivered = o_off.delivered;
-            c_epochs = Option.map (fun m -> m.mo_epochs) o_off.multi;
-          };
-    }
+  let o = exec ~trace ~overlap_salt:0 s in
+  let counterfactual (cf_rerun, s', overlap_salt) =
+    { cf_rerun; cf_run = exec ~trace:None ~overlap_salt s' }
+  in
+  { o with counterfactuals = List.map counterfactual (reruns s) }

@@ -6,18 +6,12 @@ type t = {
   streams : (int * bytes list) list;
 }
 
-(* Mirrors [Framer]'s cutting rules without running the framer: each
-   frame is padded to a whole element, elements accumulate on the
-   connection, and a TPDU boundary falls every [tpdu_elems] elements
-   plus once at the end of the stream. *)
+(* Mirrors [Framer]'s cutting rules without running the framer (through
+   [Schedule.n_elems]): each frame is padded to a whole element,
+   elements accumulate on the connection, and a TPDU boundary falls
+   every [tpdu_elems] elements plus once at the end of the stream. *)
 let of_schedule (s : Schedule.t) =
-  let full = s.data_len / s.frame_bytes in
-  let rem = s.data_len mod s.frame_bytes in
-  let elems =
-    (full * (s.frame_bytes / s.elem_size))
-    + ((rem + s.elem_size - 1) / s.elem_size)
-  in
-  let n_tpdus = (elems + s.tpdu_elems - 1) / s.tpdu_elems in
+  let elems = Schedule.n_elems s and n_tpdus = Schedule.n_tpdus s in
   let pad data =
     let b = Bytes.make (elems * s.elem_size) '\000' in
     Bytes.blit data 0 b 0 s.data_len;

@@ -31,11 +31,6 @@ type t = {
 
 val of_schedule : Schedule.t -> t
 
-val tpdu_span : t -> Schedule.t -> t_id:int -> (int * int) option
-(** The [(first_elem, elems)] span a fixed (non-adaptive) framer gives
-    TPDU [t_id]; [None] outside [0, n_tpdus).  Meaningless for adaptive
-    schedules, which is why a shed spec forbids them. *)
-
 val sheddable_spans : t -> Schedule.t -> (int * int) list
 (** The element runs the shed contract permits to be missing (the spans
     of every {!Schedule.sheddable_tid} T.ID, ascending).  A conforming

@@ -1,7 +1,5 @@
 type violation = { code : string; detail : string }
 
-let pp_violation fmt v = Format.fprintf fmt "[%s] %s" v.code v.detail
-
 let violation_to_string v = Printf.sprintf "[%s] %s" v.code v.detail
 
 (* Zero-fill the element runs of [spans] so byte comparison ignores
@@ -37,6 +35,121 @@ let starvable (s : Schedule.t) =
   | Some { Schedule.drop_mode = Netsim.Dropper.Whole_tpdu; _ } -> true
   | Some _ | None -> false
 
+(* The one per-epoch join every counterfactual comparison uses: each
+   epoch of the primary run [o] meets the re-run [c]'s epoch of the same
+   (connection, epoch), or [missing] when the re-run has none. *)
+let join_epochs (o : Driver.observation) (c : Driver.observation) ~missing f =
+  let epochs (r : Driver.observation) =
+    Option.fold ~none:[] ~some:(fun mo -> mo.Driver.mo_epochs) r.multi
+  in
+  List.iter
+    (fun (e : Driver.epoch_obs) ->
+      match
+        List.find_opt
+          (fun (e' : Driver.epoch_obs) ->
+            e'.e_conn = e.e_conn && e'.e_epoch = e.e_epoch)
+          (epochs c)
+      with
+      | Some e' -> f e e'
+      | None -> missing e)
+    (epochs o)
+
+let divergence (o : Driver.observation) (cf : Driver.counterfactual) =
+  let c = cf.Driver.cf_run in
+  let vs = ref [] in
+  let fail code fmt =
+    Printf.ksprintf (fun detail -> vs := { code; detail } :: !vs) fmt
+  in
+  (match cf.Driver.cf_rerun with
+  | Driver.Permuted ->
+      (* when both runs complete, the permuted injection order must not
+         change a byte of delivery *)
+      if
+        o.complete && (not o.gave_up) && c.complete && (not c.gave_up)
+        && not (Bytes.equal o.delivered c.delivered)
+      then
+        fail "overlap-determinism"
+          "permuting overlap arrival order changed delivery at byte %d"
+          (first_diff o.delivered c.delivered)
+  | Driver.Cache_off -> (
+      (* The driver re-ran the identical (seed, schedule) with the cache
+         off, so the wire is the same packet for packet and any
+         divergence is the cache's doing: completion flags must match,
+         and delivery must be byte-identical — the single buffer on
+         point-to-point runs, every (connection, epoch) pair on
+         demultiplexed runs.  Crash-restart schedules run through here
+         too, so a cache surviving a restore it should not survive shows
+         up as a divergent epoch. *)
+      if c.complete <> o.complete || c.gave_up <> o.gave_up then
+        fail "fastpath-coherence"
+          "cache-off re-run diverged: complete %b vs %b, gave-up %b vs %b \
+           (cache on vs off)"
+          o.complete c.complete o.gave_up c.gave_up;
+      match (o.multi, c.multi) with
+      | None, _ ->
+          if not (Bytes.equal o.delivered c.delivered) then
+            fail "fastpath-coherence"
+              "cache on/off deliveries diverge at byte %d"
+              (first_diff o.delivered c.delivered)
+      | Some _, Some _ ->
+          join_epochs o c
+            ~missing:(fun e ->
+              fail "fastpath-coherence"
+                "connection %d epoch %d missing from the cache-off re-run"
+                e.e_conn e.e_epoch)
+            (fun e e' ->
+              if e'.e_complete <> e.e_complete then
+                fail "fastpath-coherence"
+                  "connection %d epoch %d: complete %b with the cache, %b \
+                   without"
+                  e.e_conn e.e_epoch e.e_complete e'.e_complete;
+              match (e.e_delivered, e'.e_delivered) with
+              | Some a, Some b when not (Bytes.equal a b) ->
+                  fail "fastpath-coherence"
+                    "connection %d epoch %d: cache on/off deliveries diverge \
+                     at byte %d"
+                    e.e_conn e.e_epoch (first_diff a b)
+              | (Some _ | None), (Some _ | None) -> ())
+      | Some _, None ->
+          fail "fastpath-coherence"
+            "demultiplexed run but the cache-off re-run reported no epochs")
+  | Driver.Byz_free -> (
+      (* The byz-free re-run (same seed, schedule and mutation; the
+         adversary's RNG and wire paths are disjoint from every honest
+         draw) must report identical honest per-epoch outcomes.  Any
+         divergence means byzantine traffic leaked into honest delivery
+         — containment failed. *)
+      match o.multi with
+      | None ->
+          fail "blast-radius" "byzantine schedule ran outside the multi path"
+      | Some _ ->
+          join_epochs o c
+            ~missing:(fun e ->
+              fail "blast-radius"
+                "conn %d epoch %d missing from the byz-free re-run" e.e_conn
+                e.e_epoch)
+            (fun e e' ->
+              if e'.e_complete <> e.e_complete || e'.e_gave_up <> e.e_gave_up
+              then
+                fail "blast-radius"
+                  "conn %d epoch %d: complete %b / gave-up %b under byzantine \
+                   fire, %b / %b without"
+                  e.e_conn e.e_epoch e.e_complete e.e_gave_up e'.e_complete
+                  e'.e_gave_up;
+              match (e.e_delivered, e'.e_delivered) with
+              | Some a, Some b when not (Bytes.equal a b) ->
+                  fail "blast-radius"
+                    "conn %d epoch %d: delivery under byzantine fire diverges \
+                     from the byz-free run at byte %d"
+                    e.e_conn e.e_epoch (first_diff a b)
+              | Some _, None | None, Some _ ->
+                  fail "blast-radius"
+                    "conn %d epoch %d: delivered on one side of the byz-free \
+                     comparison only"
+                    e.e_conn e.e_epoch
+              | (Some _ | None), _ -> ())));
+  List.rev !vs
+
 let check ~(schedule : Schedule.t) ~(model : Model.t)
     ~(observation : Driver.observation) =
   let s = schedule and m = model and o = observation in
@@ -45,6 +158,12 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
   let fail code fmt =
     Printf.ksprintf (fun detail -> vs := { code; detail } :: !vs) fmt
   in
+  let counterfactual rerun =
+    List.find_opt
+      (fun (cf : Driver.counterfactual) -> cf.Driver.cf_rerun = rerun)
+      o.counterfactuals
+  in
+  let compare_with cf = vs := List.rev_append (divergence o cf) !vs in
   (* Liveness: every schedule must terminate — either the transfer
      completes or the sender gives up, and all timers wind down.  A
      give-up is legitimate only under a starvation fault (ACK black
@@ -185,72 +304,10 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
        (first-verified-wins violated; %d conflicts seen, %d rejected)"
       r.overlap.os_verified_overwrites r.overlap.os_conflicts_seen
       r.overlap.os_conflicts_rejected;
-  (match o.permuted with
-  | Some p
-    when o.complete && (not o.gave_up) && p.Driver.p_complete
-         && not p.Driver.p_gave_up ->
-      if not (Bytes.equal o.delivered p.Driver.p_delivered) then
-        fail "overlap-determinism"
-          "permuting overlap arrival order changed delivery at byte %d"
-          (first_diff o.delivered p.Driver.p_delivered)
-  | Some _ | None -> ());
-  (* Flow-cache coherence: the fast path must be pure acceleration.
-     For fastpath schedules the driver re-ran the identical (seed,
-     schedule) with the cache off, so the wire is the same packet for
-     packet and any divergence below is the cache's doing: completion
-     flags must match, and delivery must be byte-identical — the single
-     buffer on point-to-point runs, every (connection, epoch) pair on
-     demultiplexed runs.  Crash-restart schedules run through here too,
-     so a cache surviving a restore it should not survive shows up as a
-     divergent epoch. *)
-  (match o.coherence with
-  | None -> ()
-  | Some c ->
-      if c.Driver.c_complete <> o.complete || c.Driver.c_gave_up <> o.gave_up
-      then
-        fail "fastpath-coherence"
-          "cache-off re-run diverged: complete %b vs %b, gave-up %b vs %b \
-           (cache on vs off)"
-          o.complete c.Driver.c_complete o.gave_up c.Driver.c_gave_up;
-      match (o.multi, c.Driver.c_epochs) with
-      | None, _ ->
-          if not (Bytes.equal o.delivered c.Driver.c_delivered) then
-            fail "fastpath-coherence"
-              "cache on/off deliveries diverge at byte %d"
-              (first_diff o.delivered c.Driver.c_delivered)
-      | Some mo, Some eps ->
-          List.iter
-            (fun (e : Driver.epoch_obs) ->
-              match
-                List.find_opt
-                  (fun (e' : Driver.epoch_obs) ->
-                    e'.Driver.e_conn = e.Driver.e_conn
-                    && e'.Driver.e_epoch = e.Driver.e_epoch)
-                  eps
-              with
-              | None ->
-                  fail "fastpath-coherence"
-                    "connection %d epoch %d missing from the cache-off \
-                     re-run"
-                    e.Driver.e_conn e.Driver.e_epoch
-              | Some e' ->
-                  if e'.Driver.e_complete <> e.Driver.e_complete then
-                    fail "fastpath-coherence"
-                      "connection %d epoch %d: complete %b with the cache, \
-                       %b without"
-                      e.Driver.e_conn e.Driver.e_epoch e.Driver.e_complete
-                      e'.Driver.e_complete;
-                  match (e.Driver.e_delivered, e'.Driver.e_delivered) with
-                  | Some a, Some b when not (Bytes.equal a b) ->
-                      fail "fastpath-coherence"
-                        "connection %d epoch %d: cache on/off deliveries \
-                         diverge at byte %d"
-                        e.Driver.e_conn e.Driver.e_epoch (first_diff a b)
-                  | (Some _ | None), (Some _ | None) -> ())
-            mo.Driver.mo_epochs
-      | Some _, None ->
-          fail "fastpath-coherence"
-            "demultiplexed run but the cache-off re-run reported no epochs");
+  Option.iter compare_with (counterfactual Driver.Permuted);
+  (* Flow-cache coherence: the fast path must be pure acceleration
+     (the [Cache_off] comparison in [divergence]). *)
+  Option.iter compare_with (counterfactual Driver.Cache_off);
   (* Partial reliability, part one: sheds are legal only under a shed
      contract.  A receiver that honours a shed with no contract in the
      schedule has thrown away bytes the model calls mandatory — the
@@ -463,56 +520,11 @@ let check ~(schedule : Schedule.t) ~(model : Model.t)
               bc.Driver.bc_conn bc.Driver.bc_epochs
               (8 * (1 + o.restores)))
         b.Driver.bo_conns;
-      (* Blast radius: the byz-free re-run (same seed, schedule and
-         mutation; the adversary's RNG and wire paths are disjoint from
-         every honest draw) must report identical honest per-epoch
-         outcomes.  Any divergence means byzantine traffic leaked into
-         honest delivery — containment failed. *)
-      match o.blast with
+      (* Blast radius: the byz-free re-run must exist, and agree (the
+         [Byz_free] comparison in [divergence]). *)
+      match counterfactual Driver.Byz_free with
       | None ->
           fail "blast-radius"
             "byzantine schedule ran without its byz-free counterfactual"
-      | Some bl -> (
-          match o.multi with
-          | None ->
-              fail "blast-radius"
-                "byzantine schedule ran outside the multi path"
-          | Some mo ->
-              List.iter
-                (fun (e : Driver.epoch_obs) ->
-                  match
-                    List.find_opt
-                      (fun (e' : Driver.epoch_obs) ->
-                        e'.Driver.e_conn = e.Driver.e_conn
-                        && e'.Driver.e_epoch = e.Driver.e_epoch)
-                      bl.Driver.b_epochs
-                  with
-                  | None ->
-                      fail "blast-radius"
-                        "conn %d epoch %d missing from the byz-free re-run"
-                        e.Driver.e_conn e.Driver.e_epoch
-                  | Some e' ->
-                      if
-                        e'.Driver.e_complete <> e.Driver.e_complete
-                        || e'.Driver.e_gave_up <> e.Driver.e_gave_up
-                      then
-                        fail "blast-radius"
-                          "conn %d epoch %d: complete %b / gave-up %b under \
-                           byzantine fire, %b / %b without"
-                          e.Driver.e_conn e.Driver.e_epoch e.Driver.e_complete
-                          e.Driver.e_gave_up e'.Driver.e_complete
-                          e'.Driver.e_gave_up;
-                      match (e.Driver.e_delivered, e'.Driver.e_delivered) with
-                      | Some a, Some b when not (Bytes.equal a b) ->
-                          fail "blast-radius"
-                            "conn %d epoch %d: delivery under byzantine fire \
-                             diverges from the byz-free run at byte %d"
-                            e.Driver.e_conn e.Driver.e_epoch (first_diff a b)
-                      | Some _, None | None, Some _ ->
-                          fail "blast-radius"
-                            "conn %d epoch %d: delivered on one side of the \
-                             byz-free comparison only"
-                            e.Driver.e_conn e.Driver.e_epoch
-                      | (Some _ | None), _ -> ())
-                mo.Driver.mo_epochs));
+      | Some cf -> compare_with cf);
   List.rev !vs

@@ -37,8 +37,15 @@
 
 type violation = { code : string; detail : string }
 
-val pp_violation : Format.formatter -> violation -> unit
 val violation_to_string : violation -> string
+
+val divergence : Driver.observation -> Driver.counterfactual -> violation list
+(** The comparison of a primary run with one of its counterfactual
+    re-runs — the [overlap-determinism], [fastpath-coherence] or
+    [blast-radius] row, by the re-run's kind, each joining (connection,
+    epoch) pairs where the run has them; empty when they agree.  What
+    {!check} reports for the row, and what [chunks_soak --replay]
+    prints as the re-run's verdict. *)
 
 val check :
   schedule:Schedule.t ->

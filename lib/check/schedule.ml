@@ -1,17 +1,6 @@
 open Labelling
 
-type profile =
-  | Clean
-  | Lossy
-  | Hostile
-  | Hostile_flood
-  | Outage_recover
-  | Crash_restart
-  | Crash_flood
-  | Overlap_hostile
-  | Degrade_hostile
-  | Fastpath_hostile
-  | Byzantine_hostile
+include Schedule_types
 
 (* The one profile table: presentation order, and each profile's name
    in schedule lines and on the command line. *)
@@ -36,115 +25,6 @@ let profile_of_name name =
   List.find_map (fun (p, n) -> if n = name then Some p else None) profiles
 
 let all_profiles = List.map fst profiles
-
-type spread = Round_robin | Random_path | Route_change of float
-
-type gateway = {
-  gw_policy : Repack.policy;
-  gw_mtu : int;
-  gw_batch : int;
-}
-
-type dropper = { drop_mode : Netsim.Dropper.mode; drop_loss : float }
-
-type outage = {
-  out_hold : bool;  (** pause-and-replay instead of discard *)
-  out_start : float;
-  out_duration : float;
-}
-
-type flood = {
-  flood_rate : float;  (** forged packets per simulated second *)
-  flood_stop : float;  (** injection ends here *)
-  flood_conns : int;  (** distinct bogus connection ids in play *)
-}
-
-type crash = {
-  cr_time : float;  (** the receiver endpoint dies here *)
-  cr_restart : float;  (** downtime before restart from the persisted image *)
-}
-
-type shed = {
-  sh_every : int;
-      (** every [sh_every]-th TPDU is declared sheddable (the last TPDU
-          never is — it carries the C.ST stream-end marker) *)
-  sh_txs : int;  (** sender sheds a sheddable TPDU after this many txs *)
-}
-
-type overlap = {
-  ov_rate : float;  (** injections per simulated second *)
-  ov_stop : float;  (** injection ends here *)
-  ov_dup : bool;  (** divergent duplicates of observed chunks *)
-  ov_forge : bool;  (** forged corroborated TPDUs over observed ranges *)
-  ov_resplit : bool;  (** overlapping gateway-style re-split chains *)
-}
-
-type byz = {
-  bz_rate : float;  (** hostile actions per simulated second *)
-  bz_stop : float;  (** the byzantine peer goes quiet here *)
-  bz_conns : int;  (** distinct byzantine connection ids in play *)
-  bz_acks : bool;
-      (** ACKs for never-sent TPDUs and contradictory ACK/NACK pairs on
-          the reverse path *)
-  bz_sheds : bool;  (** forged [Shed_tpdu] naming honest Critical TPDUs *)
-  bz_replay : bool;  (** verbatim replays of signals from archived epochs *)
-  bz_garbage : bool;
-      (** extra label-plausible garbage TPDUs sealed with self-consistent
-          WSC-2 parities (they verify; the labels are the only lie) *)
-}
-
-type t = {
-  seed : int;
-  profile : profile;
-  (* transfer *)
-  data_len : int;
-  elem_size : int;
-  tpdu_elems : int;
-  frame_bytes : int;
-  mtu : int;
-  window : int;
-  rto : float;
-  sack : bool;
-  adaptive : bool;
-  nack_delay : float;
-  (* control plane *)
-  rto_adaptive : bool;
-  give_up_txs : int;
-  state_budget : int;
-  state_ttl : float;
-  connections : int;
-  reopen : bool;
-  (* topology *)
-  paths : int;
-  skew : float;
-  jitter : float;
-  spread : spread;
-  rate_bps : float;
-  delay : float;
-  gateways : gateway list;
-  (* faults *)
-  loss : float;
-  corrupt : float;
-  duplicate : float;
-  dropper : dropper option;
-  ack_blackhole : (float * float) option;
-  outage : outage option;
-  flood : flood option;
-  overlap : overlap option;
-  shed : shed option;
-  crashes : crash list;
-  snap_period : float;  (** full-snapshot interval; 0 = ACK-journal only *)
-  fastpath : bool;
-      (** deliver through [Multi.ingest] with the connection cache on
-          (off = a capacity-0 cache, the cache-off reference; a single
-          receiver has no cache); the [fastpath-coherence] oracle row
-          re-runs the schedule with the cache off and demands identical
-          outcomes *)
-  byz : byz option;
-      (** a wire-conformant but protocol-violating peer; the
-          [blast-radius] oracle row re-runs the schedule with this peer
-          removed and demands identical honest outcomes *)
-}
 
 let faultless s =
   s.loss = 0.0 && s.corrupt = 0.0 && s.duplicate = 0.0 && s.jitter = 0.0
@@ -252,13 +132,7 @@ let estimate_rto s =
 let estimate_budget s =
   let tpdu_bytes = s.tpdu_elems * s.elem_size in
   let per_tpdu = (2 * tpdu_bytes) + (32 * s.tpdu_elems) + 1024 in
-  let full = s.data_len / s.frame_bytes in
-  let rem = s.data_len mod s.frame_bytes in
-  let elems =
-    (full * (s.frame_bytes / s.elem_size))
-    + ((rem + s.elem_size - 1) / s.elem_size)
-  in
-  let conn_quota = (elems * s.elem_size) + 256 in
+  let conn_quota = (n_elems s * s.elem_size) + 256 in
   (2 * s.connections * ((s.window * per_tpdu) + conn_quota)) + 65536
 
 let float_in rng lo hi = lo +. Netsim.Rng.float rng (hi -. lo)
@@ -602,320 +476,305 @@ let generate ~profile ~seed =
     byz;
   }
 
-(* {2 Flat text round-trip}
+(* {2 The field table}
 
-   One [key=value] token per field, space-separated, order fixed.
-   Floats print as %.17g so parsing reproduces them bit-exactly — a
-   shrunk counterexample must replay the violation byte for byte. *)
+   One row per schedule field, in the order of the one-line form: the
+   field's [key], its codec, how to read and replace it, and — for the
+   fields the shrinker may reset — its neutral value, the setting that
+   switches the fault off or collapses the dimension.  [to_string],
+   [of_string], [unknown_fields], [validate]'s NaN gate and the
+   shrinker's resets are all derived from it.  Floats print as
+   %.17g so parsing reproduces them bit-exactly — a shrunk
+   counterexample must replay the violation byte for byte. *)
 
-let policy_name = function
-  | Repack.One_per_packet -> "one"
-  | Repack.Combine -> "combine"
-  | Repack.Reassemble -> "reassemble"
+module Codec = struct
+  type 'a t = {
+    print : 'a -> string;
+    parse : string -> 'a option;
+    has_nan : 'a -> bool;
+  }
 
-let policy_of_name = function
-  | "one" -> Some Repack.One_per_packet
-  | "combine" -> Some Repack.Combine
-  | "reassemble" -> Some Repack.Reassemble
-  | _ -> None
+  let no_nan _ = false
 
-let spread_to_string = function
-  | Round_robin -> "rr"
-  | Random_path -> "random"
-  | Route_change t -> Printf.sprintf "change:%.17g" t
+  let int =
+    { print = string_of_int; parse = int_of_string_opt; has_nan = no_nan }
 
-let spread_of_string str =
-  match str with
-  | "rr" -> Some Round_robin
-  | "random" -> Some Random_path
-  | _ -> (
-      match String.index_opt str ':' with
-      | Some i when String.sub str 0 i = "change" -> (
-          match
-            float_of_string_opt
-              (String.sub str (i + 1) (String.length str - i - 1))
-          with
-          | Some t -> Some (Route_change t)
-          | None -> None)
-      | _ -> None)
+  let float =
+    {
+      print = Printf.sprintf "%.17g";
+      parse = float_of_string_opt;
+      has_nan = Float.is_nan;
+    }
 
-let gateways_to_string gws =
-  if gws = [] then "-"
-  else
-    String.concat ","
-      (List.map
-         (fun g ->
-           Printf.sprintf "%s:%d:%d" (policy_name g.gw_policy) g.gw_mtu
-             g.gw_batch)
-         gws)
+  let bool =
+    { print = string_of_bool; parse = bool_of_string_opt; has_nan = no_nan }
 
-let gateways_of_string str =
-  if str = "-" then Some []
-  else
-    let parse_one tok =
-      match String.split_on_char ':' tok with
-      | [ p; mtu; batch ] -> (
-          match (policy_of_name p, int_of_string_opt mtu, int_of_string_opt batch)
-          with
-          | Some gw_policy, Some gw_mtu, Some gw_batch ->
-              Some { gw_policy; gw_mtu; gw_batch }
-          | _ -> None)
-      | _ -> None
-    in
-    let toks = String.split_on_char ',' str in
-    let parsed = List.filter_map parse_one toks in
-    if List.length parsed = List.length toks then Some parsed else None
+  (* A fixed vocabulary, as (value, name) pairs. *)
+  let enum names =
+    {
+      print = (fun v -> snd (List.find (fun (v', _) -> v' = v) names));
+      parse =
+        (fun str ->
+          List.find_map (fun (v, n) -> if n = str then Some v else None) names);
+      has_nan = no_nan;
+    }
 
-let dropper_to_string = function
-  | None -> "-"
-  | Some { drop_mode = Netsim.Dropper.Random; drop_loss } ->
-      Printf.sprintf "random:%.17g" drop_loss
-  | Some { drop_mode = Netsim.Dropper.Whole_tpdu; drop_loss } ->
-      Printf.sprintf "tpdu:%.17g" drop_loss
-  | Some { drop_mode = Netsim.Dropper.By_class; drop_loss } ->
-      Printf.sprintf "class:%.17g" drop_loss
+  (* [a ** b] reads [x:y], split at the first colon; it associates to
+     the right, so [a ** b ** c] reads [x:y:z] — a colon record. *)
+  let ( ** ) a b =
+    {
+      print = (fun (x, y) -> a.print x ^ ":" ^ b.print y);
+      parse =
+        (fun str ->
+          match String.index_opt str ':' with
+          | None -> None
+          | Some i -> (
+              let rest = String.sub str (i + 1) (String.length str - i - 1) in
+              match (a.parse (String.sub str 0 i), b.parse rest) with
+              | Some x, Some y -> Some (x, y)
+              | _ -> None));
+      has_nan = (fun (x, y) -> a.has_nan x || b.has_nan y);
+    }
 
-let dropper_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ "random"; p ] ->
-        Option.map
-          (fun drop_loss ->
-            Some { drop_mode = Netsim.Dropper.Random; drop_loss })
-          (float_of_string_opt p)
-    | [ "tpdu"; p ] ->
-        Option.map
-          (fun drop_loss ->
-            Some { drop_mode = Netsim.Dropper.Whole_tpdu; drop_loss })
-          (float_of_string_opt p)
-    | [ "class"; p ] ->
-        Option.map
-          (fun drop_loss ->
-            Some { drop_mode = Netsim.Dropper.By_class; drop_loss })
-          (float_of_string_opt p)
-    | _ -> None
+  let map of_repr to_repr c =
+    {
+      print = (fun v -> c.print (to_repr v));
+      parse = (fun str -> Option.map of_repr (c.parse str));
+      has_nan = (fun v -> c.has_nan (to_repr v));
+    }
 
-let blackhole_to_string = function
-  | None -> "-"
-  | Some (t0, dur) -> Printf.sprintf "%.17g:%.17g" t0 dur
+  (* [-] is [None]. *)
+  let option c =
+    {
+      print = (function None -> "-" | Some v -> c.print v);
+      parse =
+        (function
+        | "-" -> Some None | str -> Option.map Option.some (c.parse str));
+      has_nan = (function None -> false | Some v -> c.has_nan v);
+    }
 
-let blackhole_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ a; b ] -> (
-        match (float_of_string_opt a, float_of_string_opt b) with
-        | Some t0, Some dur -> Some (Some (t0, dur))
-        | _ -> None)
-    | _ -> None
+  (* Comma-separated; [-] is the empty list. *)
+  let list c =
+    {
+      print =
+        (function [] -> "-" | vs -> String.concat "," (List.map c.print vs));
+      parse =
+        (function
+        | "-" -> Some []
+        | str ->
+            let toks = String.split_on_char ',' str in
+            let parsed = List.filter_map c.parse toks in
+            if List.length parsed = List.length toks then Some parsed
+            else None);
+      has_nan = List.exists c.has_nan;
+    }
+end
 
-let outage_to_string = function
-  | None -> "-"
-  | Some o ->
-      Printf.sprintf "%s:%.17g:%.17g"
-        (if o.out_hold then "hold" else "drop")
-        o.out_start o.out_duration
+let spread_codec =
+  let change = Codec.(enum [ ((), "change") ] ** float) in
+  {
+    Codec.print =
+      (function
+      | Round_robin -> "rr"
+      | Random_path -> "random"
+      | Route_change t -> change.print ((), t));
+    parse =
+      (function
+      | "rr" -> Some Round_robin
+      | "random" -> Some Random_path
+      | str -> Option.map (fun ((), t) -> Route_change t) (change.parse str));
+    has_nan = (function Route_change t -> Float.is_nan t | _ -> false);
+  }
 
-let outage_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ m; a; b ] when m = "hold" || m = "drop" -> (
-        match (float_of_string_opt a, float_of_string_opt b) with
-        | Some out_start, Some out_duration ->
-            Some (Some { out_hold = m = "hold"; out_start; out_duration })
-        | _ -> None)
-    | _ -> None
+type field =
+  | Field : {
+      name : string;
+      codec : 'a Codec.t;
+      get : t -> 'a;
+      set : t -> 'a -> t;
+      neutral : 'a option;
+    }
+      -> field
 
-let flood_to_string = function
-  | None -> "-"
-  | Some f ->
-      Printf.sprintf "%.17g:%.17g:%d" f.flood_rate f.flood_stop f.flood_conns
+let field ?neutral name codec get set = Field { name; codec; get; set; neutral }
 
-let flood_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ r; s; c ] -> (
-        match
-          (float_of_string_opt r, float_of_string_opt s, int_of_string_opt c)
-        with
-        | Some flood_rate, Some flood_stop, Some flood_conns ->
-            Some (Some { flood_rate; flood_stop; flood_conns })
-        | _ -> None)
-    | _ -> None
-
-let overlap_to_string = function
-  | None -> "-"
-  | Some o ->
-      Printf.sprintf "%.17g:%.17g:%b:%b:%b" o.ov_rate o.ov_stop o.ov_dup
-        o.ov_forge o.ov_resplit
-
-let overlap_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ r; s; d; f; re ] -> (
-        match
-          ( float_of_string_opt r,
-            float_of_string_opt s,
-            bool_of_string_opt d,
-            bool_of_string_opt f,
-            bool_of_string_opt re )
-        with
-        | Some ov_rate, Some ov_stop, Some ov_dup, Some ov_forge, Some ov_resplit
-          ->
-            Some (Some { ov_rate; ov_stop; ov_dup; ov_forge; ov_resplit })
-        | _ -> None)
-    | _ -> None
-
-let byz_to_string = function
-  | None -> "-"
-  | Some b ->
-      Printf.sprintf "%.17g:%.17g:%d:%b:%b:%b:%b" b.bz_rate b.bz_stop
-        b.bz_conns b.bz_acks b.bz_sheds b.bz_replay b.bz_garbage
-
-let byz_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ r; s; c; a; sh; rp; g ] -> (
-        match
-          ( float_of_string_opt r,
-            float_of_string_opt s,
-            int_of_string_opt c,
-            bool_of_string_opt a,
-            bool_of_string_opt sh,
-            bool_of_string_opt rp,
-            bool_of_string_opt g )
-        with
-        | ( Some bz_rate,
-            Some bz_stop,
-            Some bz_conns,
-            Some bz_acks,
-            Some bz_sheds,
-            Some bz_replay,
-            Some bz_garbage ) ->
-            Some
-              (Some
-                 {
-                   bz_rate;
-                   bz_stop;
-                   bz_conns;
-                   bz_acks;
-                   bz_sheds;
-                   bz_replay;
-                   bz_garbage;
-                 })
-        | _ -> None)
-    | _ -> None
-
-let shed_to_string = function
-  | None -> "-"
-  | Some sh -> Printf.sprintf "%d:%d" sh.sh_every sh.sh_txs
-
-let shed_of_string str =
-  if str = "-" then Some None
-  else
-    match String.split_on_char ':' str with
-    | [ e; t ] -> (
-        match (int_of_string_opt e, int_of_string_opt t) with
-        | Some sh_every, Some sh_txs -> Some (Some { sh_every; sh_txs })
-        | _ -> None)
-    | _ -> None
-
-let crashes_to_string = function
-  | [] -> "-"
-  | cs ->
-      String.concat ","
-        (List.map
-           (fun c -> Printf.sprintf "%.17g:%.17g" c.cr_time c.cr_restart)
-           cs)
-
-let crashes_of_string str =
-  if str = "-" then Some []
-  else
-    let parse_one tok =
-      match String.split_on_char ':' tok with
-      | [ a; b ] -> (
-          match (float_of_string_opt a, float_of_string_opt b) with
-          | Some cr_time, Some cr_restart -> Some { cr_time; cr_restart }
-          | _ -> None)
-      | _ -> None
-    in
-    let toks = String.split_on_char ',' str in
-    let parsed = List.filter_map parse_one toks in
-    if List.length parsed = List.length toks then Some parsed else None
+let fields =
+  let open Codec in
+  let gateway =
+    map
+      (fun (gw_policy, (gw_mtu, gw_batch)) -> { gw_policy; gw_mtu; gw_batch })
+      (fun g -> (g.gw_policy, (g.gw_mtu, g.gw_batch)))
+      (enum
+         [
+           (Repack.One_per_packet, "one");
+           (Repack.Combine, "combine");
+           (Repack.Reassemble, "reassemble");
+         ]
+      ** int ** int)
+  in
+  let dropper =
+    map
+      (fun (drop_mode, drop_loss) -> { drop_mode; drop_loss })
+      (fun d -> (d.drop_mode, d.drop_loss))
+      (enum
+         [
+           (Netsim.Dropper.Random, "random");
+           (Netsim.Dropper.Whole_tpdu, "tpdu");
+           (Netsim.Dropper.By_class, "class");
+         ]
+      ** float)
+  in
+  let outage =
+    map
+      (fun (out_hold, (out_start, out_duration)) ->
+        { out_hold; out_start; out_duration })
+      (fun o -> (o.out_hold, (o.out_start, o.out_duration)))
+      (enum [ (true, "hold"); (false, "drop") ] ** float ** float)
+  in
+  let flood =
+    map
+      (fun (flood_rate, (flood_stop, flood_conns)) ->
+        { flood_rate; flood_stop; flood_conns })
+      (fun f -> (f.flood_rate, (f.flood_stop, f.flood_conns)))
+      (float ** float ** int)
+  in
+  let overlap =
+    map
+      (fun (ov_rate, (ov_stop, (ov_dup, (ov_forge, ov_resplit)))) ->
+        { ov_rate; ov_stop; ov_dup; ov_forge; ov_resplit })
+      (fun o ->
+        (o.ov_rate, (o.ov_stop, (o.ov_dup, (o.ov_forge, o.ov_resplit)))))
+      (float ** float ** bool ** bool ** bool)
+  in
+  let shed =
+    map
+      (fun (sh_every, sh_txs) -> { sh_every; sh_txs })
+      (fun sh -> (sh.sh_every, sh.sh_txs))
+      (int ** int)
+  in
+  let crash =
+    map
+      (fun (cr_time, cr_restart) -> { cr_time; cr_restart })
+      (fun c -> (c.cr_time, c.cr_restart))
+      (float ** float)
+  in
+  let byz =
+    map
+      (fun (bz_rate, (bz_stop, (bz_conns, (bz_acks, (bz_sheds, modes))))) ->
+        let bz_replay, bz_garbage = modes in
+        {
+          bz_rate;
+          bz_stop;
+          bz_conns;
+          bz_acks;
+          bz_sheds;
+          bz_replay;
+          bz_garbage;
+        })
+      (fun b ->
+        ( b.bz_rate,
+          ( b.bz_stop,
+            (b.bz_conns, (b.bz_acks, (b.bz_sheds, (b.bz_replay, b.bz_garbage))))
+          ) ))
+      (float ** float ** int ** bool ** bool ** bool ** bool)
+  in
+  [
+    field "seed" int (fun s -> s.seed) (fun s seed -> { s with seed });
+    field "profile" (enum profiles) (fun s -> s.profile) (fun s profile ->
+        { s with profile });
+    field "data_len" int (fun s -> s.data_len) (fun s data_len ->
+        { s with data_len });
+    field "elem_size" int (fun s -> s.elem_size) (fun s elem_size ->
+        { s with elem_size });
+    field "tpdu_elems" int (fun s -> s.tpdu_elems) (fun s tpdu_elems ->
+        { s with tpdu_elems });
+    field "frame_bytes" int (fun s -> s.frame_bytes) (fun s frame_bytes ->
+        { s with frame_bytes });
+    field "mtu" int (fun s -> s.mtu) (fun s mtu -> { s with mtu });
+    field "window" int ~neutral:1 (fun s -> s.window) (fun s window ->
+        { s with window });
+    field "rto" float (fun s -> s.rto) (fun s rto -> { s with rto });
+    field "sack" bool ~neutral:false (fun s -> s.sack) (fun s sack ->
+        { s with sack });
+    field "adaptive" bool ~neutral:false (fun s -> s.adaptive)
+      (fun s adaptive -> { s with adaptive });
+    field "nack_delay" float (fun s -> s.nack_delay) (fun s nack_delay ->
+        { s with nack_delay });
+    field "rto_adaptive" bool ~neutral:false (fun s -> s.rto_adaptive)
+      (fun s rto_adaptive -> { s with rto_adaptive });
+    field "give_up_txs" int ~neutral:40 (fun s -> s.give_up_txs)
+      (fun s give_up_txs -> { s with give_up_txs });
+    field "state_budget" int ~neutral:0 (fun s -> s.state_budget)
+      (fun s state_budget -> { s with state_budget });
+    field "state_ttl" float (fun s -> s.state_ttl) (fun s state_ttl ->
+        { s with state_ttl });
+    field "connections" int ~neutral:1 (fun s -> s.connections)
+      (fun s connections -> { s with connections });
+    field "reopen" bool ~neutral:false (fun s -> s.reopen) (fun s reopen ->
+        { s with reopen });
+    field "paths" int ~neutral:1 (fun s -> s.paths) (fun s paths ->
+        { s with paths });
+    field "skew" float ~neutral:0.0 (fun s -> s.skew) (fun s skew ->
+        { s with skew });
+    field "jitter" float ~neutral:0.0 (fun s -> s.jitter) (fun s jitter ->
+        { s with jitter });
+    field "spread" spread_codec ~neutral:Round_robin (fun s -> s.spread)
+      (fun s spread -> { s with spread });
+    field "rate_bps" float (fun s -> s.rate_bps) (fun s rate_bps ->
+        { s with rate_bps });
+    field "delay" float (fun s -> s.delay) (fun s delay -> { s with delay });
+    field "gateways" (list gateway) (fun s -> s.gateways) (fun s gateways ->
+        { s with gateways });
+    field "loss" float ~neutral:0.0 (fun s -> s.loss) (fun s loss ->
+        { s with loss });
+    field "corrupt" float ~neutral:0.0 (fun s -> s.corrupt) (fun s corrupt ->
+        { s with corrupt });
+    field "duplicate" float ~neutral:0.0 (fun s -> s.duplicate)
+      (fun s duplicate -> { s with duplicate });
+    field "dropper" (option dropper) ~neutral:None (fun s -> s.dropper)
+      (fun s dropper -> { s with dropper });
+    field "ack_blackhole" (option (float ** float)) ~neutral:None
+      (fun s -> s.ack_blackhole) (fun s ack_blackhole ->
+        { s with ack_blackhole });
+    field "outage" (option outage) ~neutral:None (fun s -> s.outage)
+      (fun s outage -> { s with outage });
+    field "flood" (option flood) ~neutral:None (fun s -> s.flood)
+      (fun s flood -> { s with flood });
+    field "overlap" (option overlap) ~neutral:None (fun s -> s.overlap)
+      (fun s overlap -> { s with overlap });
+    field "shed" (option shed) ~neutral:None (fun s -> s.shed) (fun s shed ->
+        { s with shed });
+    field "crashes" (list crash) ~neutral:[] (fun s -> s.crashes)
+      (fun s crashes -> { s with crashes });
+    field "snap_period" float ~neutral:0.0 (fun s -> s.snap_period)
+      (fun s snap_period -> { s with snap_period });
+    field "fastpath" bool ~neutral:false (fun s -> s.fastpath)
+      (fun s fastpath -> { s with fastpath });
+    field "byz" (option byz) ~neutral:None (fun s -> s.byz) (fun s byz ->
+        { s with byz });
+  ]
 
 let to_string s =
   String.concat " "
-    [
-      Printf.sprintf "seed=%d" s.seed;
-      Printf.sprintf "profile=%s" (profile_name s.profile);
-      Printf.sprintf "data_len=%d" s.data_len;
-      Printf.sprintf "elem_size=%d" s.elem_size;
-      Printf.sprintf "tpdu_elems=%d" s.tpdu_elems;
-      Printf.sprintf "frame_bytes=%d" s.frame_bytes;
-      Printf.sprintf "mtu=%d" s.mtu;
-      Printf.sprintf "window=%d" s.window;
-      Printf.sprintf "rto=%.17g" s.rto;
-      Printf.sprintf "sack=%b" s.sack;
-      Printf.sprintf "adaptive=%b" s.adaptive;
-      Printf.sprintf "nack_delay=%.17g" s.nack_delay;
-      Printf.sprintf "rto_adaptive=%b" s.rto_adaptive;
-      Printf.sprintf "give_up_txs=%d" s.give_up_txs;
-      Printf.sprintf "state_budget=%d" s.state_budget;
-      Printf.sprintf "state_ttl=%.17g" s.state_ttl;
-      Printf.sprintf "connections=%d" s.connections;
-      Printf.sprintf "reopen=%b" s.reopen;
-      Printf.sprintf "paths=%d" s.paths;
-      Printf.sprintf "skew=%.17g" s.skew;
-      Printf.sprintf "jitter=%.17g" s.jitter;
-      Printf.sprintf "spread=%s" (spread_to_string s.spread);
-      Printf.sprintf "rate_bps=%.17g" s.rate_bps;
-      Printf.sprintf "delay=%.17g" s.delay;
-      Printf.sprintf "gateways=%s" (gateways_to_string s.gateways);
-      Printf.sprintf "loss=%.17g" s.loss;
-      Printf.sprintf "corrupt=%.17g" s.corrupt;
-      Printf.sprintf "duplicate=%.17g" s.duplicate;
-      Printf.sprintf "dropper=%s" (dropper_to_string s.dropper);
-      Printf.sprintf "ack_blackhole=%s" (blackhole_to_string s.ack_blackhole);
-      Printf.sprintf "outage=%s" (outage_to_string s.outage);
-      Printf.sprintf "flood=%s" (flood_to_string s.flood);
-      Printf.sprintf "overlap=%s" (overlap_to_string s.overlap);
-      Printf.sprintf "shed=%s" (shed_to_string s.shed);
-      Printf.sprintf "crashes=%s" (crashes_to_string s.crashes);
-      Printf.sprintf "snap_period=%.17g" s.snap_period;
-      Printf.sprintf "fastpath=%b" s.fastpath;
-      Printf.sprintf "byz=%s" (byz_to_string s.byz);
-    ]
+    (List.map (fun (Field f) -> f.name ^ "=" ^ f.codec.print (f.get s)) fields)
 
-let known_fields =
-  [
-    "seed"; "profile"; "data_len"; "elem_size"; "tpdu_elems"; "frame_bytes";
-    "mtu"; "window"; "rto"; "sack"; "adaptive"; "nack_delay"; "rto_adaptive";
-    "give_up_txs"; "state_budget"; "state_ttl"; "connections"; "reopen";
-    "paths"; "skew"; "jitter"; "spread"; "rate_bps"; "delay"; "gateways";
-    "loss"; "corrupt"; "duplicate"; "dropper"; "ack_blackhole"; "outage";
-    "flood"; "overlap"; "shed"; "crashes"; "snap_period"; "fastpath"; "byz";
-  ]
+let tokens str =
+  List.filter (( <> ) "") (String.split_on_char ' ' (String.trim str))
 
 let unknown_fields str =
   List.filter_map
     (fun tok ->
-      if tok = "" then None
-      else
-        match String.index_opt tok '=' with
-        | Some i ->
-            let k = String.sub tok 0 i in
-            if List.mem k known_fields then None else Some k
-        | None -> Some tok)
-    (String.split_on_char ' ' (String.trim str))
+      match String.index_opt tok '=' with
+      | Some i ->
+          let k = String.sub tok 0 i in
+          if List.exists (fun (Field f) -> f.name = k) fields then None
+          else Some k
+      | None -> Some tok)
+    (tokens str)
 
+(* Every field is required exactly once, so the schedule the fold starts
+   from is overwritten entirely. *)
 let of_string str =
-  if unknown_fields str <> [] then None
-  else
   let kvs =
     List.filter_map
       (fun tok ->
@@ -925,92 +784,28 @@ let of_string str =
               ( String.sub tok 0 i,
                 String.sub tok (i + 1) (String.length tok - i - 1) )
         | None -> None)
-      (String.split_on_char ' ' (String.trim str))
+      (tokens str)
   in
-  let find k = List.assoc_opt k kvs in
-  let ( let* ) = Option.bind in
-  let int k = Option.bind (find k) int_of_string_opt in
-  let flt k = Option.bind (find k) float_of_string_opt in
-  let bol k = Option.bind (find k) bool_of_string_opt in
-  let* seed = int "seed" in
-  let* profile = Option.bind (find "profile") profile_of_name in
-  let* data_len = int "data_len" in
-  let* elem_size = int "elem_size" in
-  let* tpdu_elems = int "tpdu_elems" in
-  let* frame_bytes = int "frame_bytes" in
-  let* mtu = int "mtu" in
-  let* window = int "window" in
-  let* rto = flt "rto" in
-  let* sack = bol "sack" in
-  let* adaptive = bol "adaptive" in
-  let* nack_delay = flt "nack_delay" in
-  let* rto_adaptive = bol "rto_adaptive" in
-  let* give_up_txs = int "give_up_txs" in
-  let* state_budget = int "state_budget" in
-  let* state_ttl = flt "state_ttl" in
-  let* connections = int "connections" in
-  let* reopen = bol "reopen" in
-  let* paths = int "paths" in
-  let* skew = flt "skew" in
-  let* jitter = flt "jitter" in
-  let* spread = Option.bind (find "spread") spread_of_string in
-  let* rate_bps = flt "rate_bps" in
-  let* delay = flt "delay" in
-  let* gateways = Option.bind (find "gateways") gateways_of_string in
-  let* loss = flt "loss" in
-  let* corrupt = flt "corrupt" in
-  let* duplicate = flt "duplicate" in
-  let* dropper = Option.bind (find "dropper") dropper_of_string in
-  let* ack_blackhole = Option.bind (find "ack_blackhole") blackhole_of_string in
-  let* outage = Option.bind (find "outage") outage_of_string in
-  let* flood = Option.bind (find "flood") flood_of_string in
-  let* overlap = Option.bind (find "overlap") overlap_of_string in
-  let* shed = Option.bind (find "shed") shed_of_string in
-  let* crashes = Option.bind (find "crashes") crashes_of_string in
-  let* snap_period = flt "snap_period" in
-  let* fastpath = bol "fastpath" in
-  let* byz = Option.bind (find "byz") byz_of_string in
-  Some
-    {
-      seed;
-      profile;
-      data_len;
-      elem_size;
-      tpdu_elems;
-      frame_bytes;
-      mtu;
-      window;
-      rto;
-      sack;
-      adaptive;
-      nack_delay;
-      rto_adaptive;
-      give_up_txs;
-      state_budget;
-      state_ttl;
-      connections;
-      reopen;
-      paths;
-      skew;
-      jitter;
-      spread;
-      rate_bps;
-      delay;
-      gateways;
-      loss;
-      corrupt;
-      duplicate;
-      dropper;
-      ack_blackhole;
-      outage;
-      flood;
-      overlap;
-      shed;
-      crashes;
-      snap_period;
-      fastpath;
-      byz;
-    }
+  let keys = List.map fst kvs in
+  if
+    unknown_fields str <> []
+    || List.length (List.sort_uniq compare keys) <> List.length keys
+  then None
+  else
+    List.fold_left
+      (fun acc (Field f) ->
+        Option.bind acc (fun s ->
+            Option.bind (List.assoc_opt f.name kvs) (fun v ->
+                Option.map (f.set s) (f.codec.parse v))))
+      (Some (generate ~profile:Clean ~seed:0))
+      fields
+
+let neutral name s =
+  match List.find_opt (fun (Field f) -> f.name = name) fields with
+  | Some (Field { neutral = Some n; get; set; _ }) ->
+      if get s = n then None else Some (set s n)
+  | Some (Field { neutral = None; _ }) | None ->
+      invalid_arg ("Schedule.neutral: no neutral value for " ^ name)
 
 (* {2 Validation}
 
@@ -1159,4 +954,10 @@ let validate s =
     in
     if s.snap_period < 0.0 || Float.is_nan s.snap_period then
       err "snap_period cannot be negative"
-    else Ok ()
+    else
+      (* NaN passes every ordering test above *)
+      match
+        List.find_opt (fun (Field f) -> f.codec.has_nan (f.get s)) fields
+      with
+      | Some (Field f) -> err "%s cannot be NaN" f.name
+      | None -> Ok ()

@@ -15,9 +15,7 @@ type report = {
   ov_injected : int;
   sheds_signalled : int;
   fp_runs : int;
-  fp_hits : int;
-  fp_misses : int;
-  fp_invalidations : int;
+  fp : Transport.Flowcache.stats;
   bz_injected : int;
   bz_flaps : int;
   bz_honest_quarantined : int;
@@ -107,9 +105,7 @@ let run_profile ?(mutation = Driver.No_mutation) ?(schedules = 1000) ?seconds
     ov_injected = !ov_injected;
     sheds_signalled = !sheds_signalled;
     fp_runs = !fp_runs;
-    fp_hits = !fp.Transport.Flowcache.s_hits;
-    fp_misses = !fp.Transport.Flowcache.s_misses;
-    fp_invalidations = !fp.Transport.Flowcache.s_invalidations;
+    fp = !fp;
     bz_injected = !bz_injected;
     bz_flaps = !bz_flaps;
     bz_honest_quarantined = !bz_honest_quarantined;
@@ -162,9 +158,9 @@ let json_of_report r =
     (String.concat "," (List.map json_of_finding r.findings))
     r.detect_trials r.detect_undetected r.ov_injected
     r.rx.overlap.os_conflicts_seen r.rx.overlap.os_conflicts_rejected
-    r.sheds_signalled r.rx.sheds_received r.rx.shed_elems r.fp_runs r.fp_hits
-    r.fp_misses r.fp_invalidations r.bz_injected r.bz_flaps r.rx.anomalies
-    r.rx.quarantines r.rx.quarantine_drops r.bz_honest_quarantined
+    r.sheds_signalled r.rx.sheds_received r.rx.shed_elems r.fp_runs
+    r.fp.s_hits r.fp.s_misses r.fp.s_invalidations r.bz_injected r.bz_flaps
+    r.rx.anomalies r.rx.quarantines r.rx.quarantine_drops r.bz_honest_quarantined
     r.wall_seconds
 
 let json_of_reports reports =

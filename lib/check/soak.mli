@@ -22,9 +22,7 @@ type report = {
   ov_injected : int;  (** overlap-adversary packets injected, all runs *)
   sheds_signalled : int;  (** sender shed decisions, all runs *)
   fp_runs : int;  (** schedules that ran the flow-cache fast path *)
-  fp_hits : int;  (** flow-cache hits, both layers, all runs *)
-  fp_misses : int;  (** flow-cache misses, both layers, all runs *)
-  fp_invalidations : int;  (** eager invalidations, both layers, all runs *)
+  fp : Transport.Flowcache.stats;  (** connection-cache counters, all runs *)
   bz_injected : int;  (** byzantine-adversary packets injected, all runs *)
   bz_flaps : int;  (** byzantine Open/garbage/Close cycles, all runs *)
   bz_honest_quarantined : int;
@@ -50,5 +48,4 @@ val run_profile :
     for a given [seed] (modulo which schedules fit in the budget).  The
     first few findings are shrunk; later ones are recorded as-is. *)
 
-val json_of_report : report -> string
 val json_of_reports : report list -> string

@@ -12,7 +12,6 @@ let add t ~time event =
   t.events.(t.count mod t.capacity) <- (time, event);
   t.count <- t.count + 1
 
-let recorded t = t.count
 let dropped t = max 0 (t.count - t.capacity)
 
 let events t =

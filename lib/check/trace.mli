@@ -13,12 +13,4 @@ val create : ?capacity:int -> unit -> t
 
 val add : t -> time:float -> string -> unit
 
-val recorded : t -> int
-(** Total events ever recorded (including since-dropped ones). *)
-
-val dropped : t -> int
-
-val events : t -> (float * string) list
-(** The retained tail, oldest first. *)
-
 val pp : Format.formatter -> t -> unit

@@ -10,10 +10,7 @@ type stats = {
 }
 
 type t = {
-  engine : Engine.t;
   rng : Rng.t;
-  rate : float;
-  stop : float;
   conns : int;
   legit_conns : int list;
   elem_size : int;
@@ -193,25 +190,13 @@ let fire b =
   | [] -> ()
   | _ -> (List.nth extras (Rng.int b.rng (List.length extras))) b
 
-let rec arm b =
-  let interval = 1.0 /. b.rate in
-  let delay = interval *. (0.5 +. Rng.float b.rng 1.0) in
-  Engine.schedule b.engine ~delay (fun () ->
-      if Engine.now b.engine < b.stop then begin
-        fire b;
-        arm b
-      end)
-
 let create engine ~seed ~rate ~stop ~conns ~legit_conns ~elem_size ~acks
     ~sheds ~replay ~garbage ~inject ~inject_ack () =
   if rate <= 0.0 then invalid_arg "Byzantine.create: rate must be positive";
   if conns < 1 then invalid_arg "Byzantine.create: conns must be >= 1";
   let b =
     {
-      engine;
       rng = Rng.create ~seed;
-      rate;
-      stop;
       conns;
       legit_conns;
       elem_size;
@@ -234,7 +219,7 @@ let create engine ~seed ~rate ~stop ~conns ~legit_conns ~elem_size ~acks
       replayed = 0;
     }
   in
-  arm b;
+  Engine.every engine ~rng:b.rng ~rate ~stop (fun () -> fire b);
   b
 
 let conn_ids b = List.init b.conns (fun i -> conn_base + i)

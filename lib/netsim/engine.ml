@@ -23,6 +23,18 @@ let schedule e ~delay f =
   Eventq.push e.q ~time:(e.clock +. delay) f;
   if Obs.enabled then Obs.Metrics.set g_depth (Eventq.size e.q)
 
+let every e ~rng ~rate ~stop fire =
+  let interval = 1.0 /. rate in
+  let rec arm () =
+    let delay = interval *. (0.5 +. Rng.float rng 1.0) in
+    schedule e ~delay (fun () ->
+        if e.clock < stop then begin
+          fire ();
+          arm ()
+        end)
+  in
+  arm ()
+
 let step e =
   match Eventq.pop e.q with
   | None -> false

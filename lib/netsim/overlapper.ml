@@ -8,10 +8,7 @@ type stats = {
 }
 
 type t = {
-  engine : Engine.t;
   rng : Rng.t;
-  rate : float;
-  stop : float;
   dup : bool;
   forge : bool;
   resplit : bool;
@@ -158,23 +155,11 @@ let fire o =
           | `Forge -> fire_forge o victim
           | `Resplit -> fire_resplit o victim)
 
-let rec arm o =
-  let interval = 1.0 /. o.rate in
-  let delay = interval *. (0.5 +. Rng.float o.rng 1.0) in
-  Engine.schedule o.engine ~delay (fun () ->
-      if Engine.now o.engine < o.stop then begin
-        fire o;
-        arm o
-      end)
-
 let create engine ~seed ~rate ~stop ~dup ~forge ~resplit ~inject () =
   if rate <= 0.0 then invalid_arg "Overlapper.create: rate must be positive";
   let o =
     {
-      engine;
       rng = Rng.create ~seed;
-      rate;
-      stop;
       dup;
       forge;
       resplit;
@@ -189,7 +174,7 @@ let create engine ~seed ~rate ~stop ~dup ~forge ~resplit ~inject () =
       resplit_chains = 0;
     }
   in
-  arm o;
+  Engine.every engine ~rng:o.rng ~rate ~stop (fun () -> fire o);
   o
 
 let stats o =
