@@ -1106,9 +1106,10 @@ let run_multi ~mutation ~trace (s : Schedule.t) =
    - [Byz_free]: the byzantine peer removed.  Its RNG and wire paths are
      disjoint from every honest draw, so the honest traffic is
      byte-identical and the honest per-epoch outcomes must agree;
-   - [Cache_off]: the flow cache off.  Determinism makes the wire
-     identical packet for packet, so any observable divergence is the
-     cache's doing. *)
+   - [Cache_off]: the flow cache off, on a multi-connection schedule
+     (a single receiver has no cache, so there the re-run would repeat
+     the primary run).  Determinism makes the wire identical packet for
+     packet, so any observable divergence is the cache's doing. *)
 let reruns (s : Schedule.t) =
   List.filter_map Fun.id
     [
@@ -1117,7 +1118,7 @@ let reruns (s : Schedule.t) =
        else None);
       (if s.Schedule.byz <> None then Some (Byz_free, { s with byz = None }, 0)
        else None);
-      (if s.Schedule.fastpath then
+      (if s.Schedule.fastpath && Schedule.multi_mode s then
          Some (Cache_off, { s with Schedule.fastpath = false }, 0)
        else None);
     ]

@@ -73,8 +73,8 @@ type metrics_probe = {
     are permuted over the identical legitimate transfer); [Byz_free]
     removes the byzantine peer (its RNG is its own and its packets
     bypass the shared links, so the honest wire is byte-identical);
-    [Cache_off] runs a fastpath schedule with [fastpath = false] over an
-    identical wire.  The [overlap-determinism], [blast-radius] and
+    [Cache_off] runs a multi-connection fastpath schedule with
+    [fastpath = false] over an identical wire.  The [overlap-determinism], [blast-radius] and
     [fastpath-coherence] oracle rows compare each with the primary
     run. *)
 type rerun = Permuted | Byz_free | Cache_off
@@ -165,7 +165,8 @@ type observation = {
   counterfactuals : counterfactual list;
       (** one per re-run the schedule calls for: [Permuted] for a
           single-path overlap schedule, [Byz_free] with a byzantine
-          peer, [Cache_off] with the fast path on *)
+          peer, [Cache_off] with the fast path on a multi-connection
+          schedule *)
 }
 
 (** What a counterfactual re-run observed (its own [counterfactuals]

@@ -175,7 +175,8 @@ type t = {
           packets still go through [ingest], but over a capacity-0
           cache — the cache-off reference.  Only multi-connection
           schedules have a cache: on a single-connection schedule the
-          flag changes nothing.  Any schedule may draw it, and the
+          flag changes nothing.  Any schedule may draw it; on a
+          multi-connection one ({!Schedule.multi_mode}) the
           [fastpath-coherence] oracle row re-runs the schedule with the
           cache off and demands identical outcomes *)
   byz : byz option;

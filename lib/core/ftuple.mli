@@ -19,6 +19,10 @@ val v : ?st:bool -> id:int -> sn:int -> unit -> t
     @raise Invalid_argument if [id] or [sn] is negative or [id] exceeds
     32 bits. *)
 
+val check_id : int -> unit
+(** Raises exactly what {!v} raises for an out-of-range [id]; for
+    writers that put an ID on the wire without building a tuple. *)
+
 val zero : t
 (** The all-zero tuple, used by terminator chunks. *)
 

@@ -5,10 +5,12 @@ type insert_result = Fresh | Duplicate | Overlap | Inconsistent
    practice, so list operations are fine. *)
 type t = {
   mutable runs : (int * int) list;
-  mutable last_sn : int option;  (* SN of the final element, once ST seen *)
+  mutable last_sn : int;  (* SN of the final element once ST seen, else [unknown] *)
 }
 
-let create () = { runs = []; last_sn = None }
+let unknown = -1
+
+let create () = { runs = []; last_sn = unknown }
 
 let covered runs sn len =
   List.exists (fun (s, l) -> s <= sn && sn + len <= s + l) runs
@@ -42,99 +44,83 @@ let add_run runs sn len =
    [Inconsistent] rather than raised on. *)
 let bad_span ~sn ~len = sn < 0 || len <= 0 || sn > max_int - len
 
+let max_seen runs =
+  List.fold_left (fun acc (s, l) -> Int.max acc (s + l - 1)) (-1) runs
+
+(* Whether a fragment whose last element is [last] (the PDU's end when
+   [st]) contradicts what is known: a second, different end, data
+   beyond the end, or an end before data already seen. *)
+let end_conflict tr ~last ~st =
+  if tr.last_sn <> unknown then (st && tr.last_sn <> last) || last > tr.last_sn
+  else st && max_seen tr.runs > last
+
 let insert tr ~sn ~len ~st =
   if bad_span ~sn ~len then Inconsistent
   else begin
-  let last = sn + len - 1 in
-  let max_seen =
-    List.fold_left (fun acc (s, l) -> max acc (s + l - 1)) (-1) tr.runs
-  in
-  let end_conflict =
-    match tr.last_sn with
-    | Some e when st && e <> last -> true (* two different ends *)
-    | Some e when last > e -> true (* data beyond the known end *)
-    | None when st && max_seen > last -> true (* end before seen data *)
-    | _ -> false
-  in
-  if end_conflict then Inconsistent
-  else if covered tr.runs sn len then begin
-    if st then tr.last_sn <- Some last;
-    Duplicate
-  end
-  else if intersects tr.runs sn len then Overlap
-  else begin
-    tr.runs <- add_run tr.runs sn len;
-    if st then tr.last_sn <- Some last;
-    Fresh
-  end
+    let last = sn + len - 1 in
+    if end_conflict tr ~last ~st then Inconsistent
+    else if covered tr.runs sn len then begin
+      if st then tr.last_sn <- last;
+      Duplicate
+    end
+    else if intersects tr.runs sn len then Overlap
+    else begin
+      tr.runs <- add_run tr.runs sn len;
+      if st then tr.last_sn <- last;
+      Fresh
+    end
   end
 
 let insert_new tr ~sn ~len ~st =
   if bad_span ~sn ~len then Error `Inconsistent
   else begin
-  let last = sn + len - 1 in
-  let max_seen =
-    List.fold_left (fun acc (s, l) -> max acc (s + l - 1)) (-1) tr.runs
-  in
-  let end_conflict =
-    match tr.last_sn with
-    | Some e when st && e <> last -> true
-    | Some e when last > e -> true
-    | None when st && max_seen > last -> true
-    | _ -> false
-  in
-  if end_conflict then Error `Inconsistent
-  else begin
-    (* Fresh parts = [sn, sn+len) minus every existing run. *)
-    let rec subtract lo hi runs acc =
-      if lo >= hi then List.rev acc
-      else
-        match runs with
-        | [] -> List.rev ((lo, hi - lo) :: acc)
-        | (s, l) :: rest ->
-            if s + l <= lo then subtract lo hi rest acc
-            else if s >= hi then List.rev ((lo, hi - lo) :: acc)
-            else if s <= lo then subtract (max lo (s + l)) hi rest acc
-            else subtract (s + l) hi rest ((lo, s - lo) :: acc)
-    in
-    let fresh = subtract sn (sn + len) tr.runs [] in
-    tr.runs <- add_run tr.runs sn len;
-    if st then tr.last_sn <- Some last;
-    Ok fresh
-  end
+    let last = sn + len - 1 in
+    if end_conflict tr ~last ~st then Error `Inconsistent
+    else begin
+      (* Fresh parts = [sn, sn+len) minus every existing run. *)
+      let rec subtract lo hi runs acc =
+        if lo >= hi then List.rev acc
+        else
+          match runs with
+          | [] -> List.rev ((lo, hi - lo) :: acc)
+          | (s, l) :: rest ->
+              if s + l <= lo then subtract lo hi rest acc
+              else if s >= hi then List.rev ((lo, hi - lo) :: acc)
+              else if s <= lo then subtract (max lo (s + l)) hi rest acc
+              else subtract (s + l) hi rest ((lo, s - lo) :: acc)
+      in
+      let fresh = subtract sn (sn + len) tr.runs [] in
+      tr.runs <- add_run tr.runs sn len;
+      if st then tr.last_sn <- last;
+      Ok fresh
+    end
   end
 
 let set_total tr total =
   if total < 1 then Error `Inconsistent
   else begin
-  let last = total - 1 in
-  let max_seen =
-    List.fold_left (fun acc (s, l) -> max acc (s + l - 1)) (-1) tr.runs
-  in
-  match tr.last_sn with
-  | Some e when e <> last -> Error `Inconsistent
-  | Some _ -> Ok ()
-  | None ->
-      if max_seen > last then Error `Inconsistent
-      else begin
-        tr.last_sn <- Some last;
-        Ok ()
-      end
+    let last = total - 1 in
+    if tr.last_sn <> unknown then
+      if tr.last_sn <> last then Error `Inconsistent else Ok ()
+    else if max_seen tr.runs > last then Error `Inconsistent
+    else begin
+      tr.last_sn <- last;
+      Ok ()
+    end
   end
 
-let total tr = Option.map (fun e -> e + 1) tr.last_sn
+let total tr = if tr.last_sn = unknown then None else Some (tr.last_sn + 1)
 
 let received_elems tr = List.fold_left (fun acc (_, l) -> acc + l) 0 tr.runs
 
 let complete tr =
-  match tr.last_sn with
-  | None -> false
-  | Some e -> ( match tr.runs with [ (0, l) ] -> l = e + 1 | _ -> false)
+  tr.last_sn <> unknown
+  && match tr.runs with [ (0, l) ] -> l = tr.last_sn + 1 | _ -> false
 
 let spans tr = tr.runs
 
 let missing tr =
-  let stop = match tr.last_sn with Some e -> e + 1 | None -> max_int in
+  let stop = if tr.last_sn = unknown then max_int else tr.last_sn + 1 in
   let rec gaps expect = function
     | [] -> if stop <> max_int && expect < stop then [ (expect, stop - expect) ] else []
     | (s, l) :: rest ->

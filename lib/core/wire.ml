@@ -4,18 +4,48 @@ let chunk_size c = header_size + Chunk.payload_bytes c
 
 let chunks_size cs = List.fold_left (fun acc c -> acc + chunk_size c) 0 cs
 
-let put_tuple buf (u : Ftuple.t) =
-  Buffer.add_int32_be buf (Int32.of_int u.Ftuple.id);
-  Buffer.add_int64_be buf (Int64.of_int u.Ftuple.sn);
-  Buffer.add_uint8 buf (if u.Ftuple.st then 1 else 0)
+(* Big-endian stores straight into a packet image.  The 32- and 64-bit
+   ones use the compiler primitives, so the field value is never boxed. *)
+external set32 : bytes -> int -> int32 -> unit = "%caml_bytes_set32"
+external set64 : bytes -> int -> int64 -> unit = "%caml_bytes_set64"
+external bswap32 : int32 -> int32 = "%bswap_int32"
+external bswap64 : int64 -> int64 = "%bswap_int64"
 
-let encode_header buf (h : Header.t) =
-  Buffer.add_uint8 buf (Ctype.code h.Header.ctype);
-  Buffer.add_uint16_be buf h.Header.size;
-  Buffer.add_int32_be buf (Int32.of_int h.Header.len);
-  put_tuple buf h.Header.c;
-  put_tuple buf h.Header.t;
-  put_tuple buf h.Header.x
+let put32 b off x =
+  let x = Int32.of_int x in
+  set32 b off (if Sys.big_endian then x else bswap32 x)
+
+let put64 b off x =
+  let x = Int64.of_int x in
+  set64 b off (if Sys.big_endian then x else bswap64 x)
+
+let put_tuple b off ~id ~sn ~st =
+  put32 b off id;
+  put64 b (off + 4) sn;
+  Bytes.set_uint8 b (off + 12) (if st then 1 else 0)
+
+(* The one header writer: every header image, a [Header.t]'s or one
+   built from bare fields, is written here. *)
+let put_header b off ~code ~size ~len ~c_id ~c_sn ~c_st ~t_id ~t_sn ~t_st
+    ~x_id ~x_sn ~x_st =
+  Bytes.set_uint8 b off code;
+  Bytes.set_uint16_be b (off + 1) size;
+  put32 b (off + 3) len;
+  put_tuple b (off + 7) ~id:c_id ~sn:c_sn ~st:c_st;
+  put_tuple b (off + 20) ~id:t_id ~sn:t_sn ~st:t_st;
+  put_tuple b (off + 33) ~id:x_id ~sn:x_sn ~st:x_st
+
+let write_header b off (h : Header.t) =
+  let c = h.Header.c and t = h.Header.t and x = h.Header.x in
+  put_header b off ~code:(Ctype.code h.Header.ctype) ~size:h.Header.size
+    ~len:h.Header.len ~c_id:c.Ftuple.id ~c_sn:c.Ftuple.sn ~c_st:c.Ftuple.st
+    ~t_id:t.Ftuple.id ~t_sn:t.Ftuple.sn ~t_st:t.Ftuple.st ~x_id:x.Ftuple.id
+    ~x_sn:x.Ftuple.sn ~x_st:x.Ftuple.st
+
+let encode_header buf h =
+  let b = Bytes.create header_size in
+  write_header b 0 h;
+  Buffer.add_bytes buf b
 
 let encode_chunk buf c =
   encode_header buf c.Chunk.header;
@@ -62,21 +92,44 @@ let decode_chunk b off =
     end
   end
 
+(* Write [chunks] back to back from [off] in [b]. *)
+let rec write_chunks b off = function
+  | [] -> ()
+  | c :: rest ->
+      write_header b off c.Chunk.header;
+      let p = c.Chunk.payload in
+      Bytes.blit p 0 b (off + header_size) (Bytes.length p);
+      write_chunks b (off + header_size + Bytes.length p) rest
+
+(* The packet is sized first and allocated once.  Padding and the
+   terminator are both zero bytes, so a padded packet is the chunks
+   followed by zeros. *)
 let encode_packet ?capacity chunks =
-  let buf = Buffer.create 256 in
-  List.iter (encode_chunk buf) chunks;
-  let used = Buffer.length buf in
+  let used = chunks_size chunks in
   match capacity with
-  | None -> Ok (Buffer.to_bytes buf)
   | Some cap when used > cap ->
       Error
         (Printf.sprintf "Wire.encode_packet: %d bytes exceed capacity %d" used
            cap)
   | Some cap ->
-      if cap - used >= header_size then encode_chunk buf Chunk.terminator;
-      let b = Bytes.make cap '\000' in
-      Buffer.blit buf 0 b 0 (Buffer.length buf);
+      let b = Bytes.create cap in
+      write_chunks b 0 chunks;
+      Bytes.fill b used (cap - used) '\000';
       Ok b
+  | None ->
+      let b = Bytes.create used in
+      write_chunks b 0 chunks;
+      Ok b
+
+let control_packet ~kind ~c_id ~t_id n =
+  if Ctype.is_data kind || n < 1 || n > Header.max_len then
+    invalid_arg "Wire.control_packet: not a control chunk";
+  Ftuple.check_id c_id;
+  Ftuple.check_id t_id;
+  let b = Bytes.make (header_size + n) '\000' in
+  put_header b 0 ~code:(Ctype.code kind) ~size:1 ~len:n ~c_id ~c_sn:0
+    ~c_st:false ~t_id ~t_sn:0 ~t_st:false ~x_id:0 ~x_sn:0 ~x_st:false;
+  b
 
 (* Checksummed record framing for persisted state (crash-recovery
    snapshots and journals).  A record is

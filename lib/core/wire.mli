@@ -37,6 +37,11 @@ val encode_chunk : Buffer.t -> Chunk.t -> unit
 val encode_header : Buffer.t -> Header.t -> unit
 (** Append just the {!header_size}-byte header image. *)
 
+val write_header : bytes -> int -> Header.t -> unit
+(** [write_header b off h] writes [h]'s {!header_size}-byte image into
+    [b] at [off].
+    @raise Invalid_argument if it does not fit. *)
+
 val decode_header : bytes -> int -> (Header.t, string) result
 (** Parse one header image (no payload expected after it). *)
 
@@ -53,6 +58,15 @@ val encode_packet : ?capacity:int -> Chunk.t list -> (bytes, string) result
     terminator before the padding whenever slack remains (if the slack
     is smaller than a header it is zero-filled, which decodes as
     end-of-packet). *)
+
+val control_packet : kind:Ctype.t -> c_id:int -> t_id:int -> int -> bytes
+(** [control_packet ~kind ~c_id ~t_id n] is the packet of one control
+    chunk of kind [kind] with an [n]-byte zero payload, labelled
+    C = [(c_id, 0)], T = [(t_id, 0)], X = {!Ftuple.zero}: byte for byte
+    [encode_packet [c]] for that chunk [c], written without building it.
+    The payload starts at {!header_size}, for the caller to fill in.
+    @raise Invalid_argument as {!Ftuple.v} does for an out-of-range ID,
+    or if [kind] is data or [n] is outside [1, Header.max_len]. *)
 
 val decode_packet : bytes -> (Chunk.t list, string) result
 (** Parse all chunks of a packet, stopping at a terminator, at

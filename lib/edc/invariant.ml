@@ -11,11 +11,14 @@ let xpair_position ~boundary_t_sn =
 
 let symbols_per_element ~size = (size + 3) / 4
 
-let check_size ~size =
-  if size < 4 then Error "Invariant: element size must be >= 4 bytes"
+let size_error ~size =
+  if size < 4 then Some "Invariant: element size must be >= 4 bytes"
   else if size mod 4 <> 0 then
-    Error "Invariant: element size must be a multiple of 4"
-  else Ok (size / 4)
+    Some "Invariant: element size must be a multiple of 4"
+  else None
+
+let check_size ~size =
+  match size_error ~size with Some msg -> Error msg | None -> Ok (size / 4)
 
 let data_position ~size ~t_sn =
   match check_size ~size with

@@ -43,6 +43,10 @@ val symbols_per_element : size:int -> int
 val check_size : size:int -> (int, string) result
 (** Validate an element size and return [symbols_per_element]. *)
 
+val size_error : size:int -> string option
+(** [None] for a valid element size, else {!check_size}'s message; it
+    allocates nothing, for the per-chunk verify path. *)
+
 val data_position : size:int -> t_sn:int -> (int, string) result
 (** Symbol position of the first word of the element with T-level SN
     [t_sn]; fails if the element lies beyond {!data_limit_symbols}. *)

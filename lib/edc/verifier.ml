@@ -26,21 +26,36 @@ type event =
   | Fresh_data of { t_id : int; t_sn : int; elems : int }
   | Duplicate_dropped of { t_id : int }
 
+(* One in-flight TPDU, in one flat record (plus its accumulator and
+   tracker): label cells are plain ints, unset until the first chunk
+   sets them, and the X.ID -> C.SN - X.SN table holds its first pair
+   inline, since a TPDU rarely spans more than one external PDU. *)
 type tpdu_state = {
   born : float;  (* clock reading when this state was opened *)
   acc : Wsc2.acc;
   tracker : Vreassembly.t;
-  pairs_done : (int, unit) Hashtbl.t;  (* boundary T.SNs already paired *)
-  x_deltas : (int, int) Hashtbl.t;     (* X.ID -> C.SN - X.SN *)
-  mutable delta_ct : int option;       (* C.SN - T.SN *)
-  mutable c_id : int option;
-  mutable size : int option;
+  mutable pairs_done : int list;  (* boundary T.SNs already paired *)
+  mutable x_id0 : int;  (* first X.ID seen ([unset]: none) ... *)
+  mutable x_delta0 : int;  (* ... and its C.SN - X.SN *)
+  mutable x_more : (int * int) list;  (* further X.ID -> C.SN - X.SN *)
+  mutable delta_ct : int;  (* C.SN - T.SN, or [unset] *)
+  mutable c_id : int;  (* or [unset] *)
+  mutable size : int;  (* or [unset] *)
   mutable labels_done : bool;
-  mutable expected : Wsc2.parity option;
-  mutable damage : string option;      (* completion-time failure note *)
+  mutable expected : Wsc2.parity;  (* ED chunk's parity, or [no_parity] *)
+  mutable damage : string option;  (* failure note carried by an image *)
   mutable x_spans : (int * int * int * int) list;
       (* (t_sn, len, x_id, x_sn) fresh runs *)
 }
+
+(* The "not yet known" value of the int cells: no wire ID, SIZE or SN
+   difference can take it (IDs and SIZE are unsigned; SNs are
+   non-negative 63-bit ints, so their difference is above [min_int]). *)
+let unset = min_int
+
+(* Stands for "no ED chunk yet"; compared physically, and a parity read
+   from a packet or an image is always a fresh record. *)
+let no_parity = { Wsc2.p0 = Gf232.zero; p1 = Gf232.zero }
 
 type t = {
   tpdus : (int, tpdu_state) Hashtbl.t;
@@ -86,7 +101,7 @@ let note_verdict v s t_id verdict =
       Obs.Trace.record
         (Obs.Trace.Verify_done
            {
-             conn = Option.value s.c_id ~default:(-1);
+             conn = (if s.c_id = unset then -1 else s.c_id);
              tpdu = t_id;
              verdict = verdict_tag verdict;
            })
@@ -96,10 +111,14 @@ let create ?now () =
   let now = match now with Some f -> f | None -> fun () -> !Obs.now in
   { tpdus = Hashtbl.create 32; now; passed = 0; failed = 0; dups = 0; seen = 0 }
 
+(* The state held for [t_id]; [Not_found] if none.  Lookups go through
+   [Hashtbl.find] so that the per-chunk path builds no option. *)
+let find v t_id = Hashtbl.find v.tpdus t_id
+
 let state v t_id =
-  match Hashtbl.find_opt v.tpdus t_id with
-  | Some s -> s
-  | None ->
+  match find v t_id with
+  | s -> s
+  | exception Not_found ->
       if Obs.enabled && Obs.Trace.active () then
         Obs.Trace.record (Obs.Trace.Verify_start { conn = -1; tpdu = t_id });
       let s =
@@ -107,13 +126,15 @@ let state v t_id =
           born = v.now ();
           acc = Wsc2.create ();
           tracker = Vreassembly.create ();
-          pairs_done = Hashtbl.create 4;
-          x_deltas = Hashtbl.create 4;
-          delta_ct = None;
-          c_id = None;
-          size = None;
+          pairs_done = [];
+          x_id0 = unset;
+          x_delta0 = 0;
+          x_more = [];
+          delta_ct = unset;
+          c_id = unset;
+          size = unset;
           labels_done = false;
-          expected = None;
+          expected = no_parity;
           damage = None;
           x_spans = [];
         }
@@ -121,15 +142,39 @@ let state v t_id =
       Hashtbl.add v.tpdus t_id s;
       s
 
+let rec mem_int (x : int) = function [] -> false | y :: r -> y = x || mem_int x r
+
+(* Whether X.ID [id] has a recorded C.SN - X.SN other than [xd]. *)
+let rec x_delta_differs id xd = function
+  | [] -> false
+  | (k, d) :: rest -> if k = id then d <> xd else x_delta_differs id xd rest
+
+let x_delta_conflict s id xd =
+  if s.x_id0 = id then s.x_delta0 <> xd else x_delta_differs id xd s.x_more
+
+let has_x_delta s id = s.x_id0 = id || List.mem_assoc id s.x_more
+
+(* Record X.ID [id]'s delta, replacing any held for it (an image's
+   table semantics). *)
+let set_x_delta s id xd =
+  if s.x_id0 = unset || s.x_id0 = id then begin
+    s.x_id0 <- id;
+    s.x_delta0 <- xd
+  end
+  else s.x_more <- (id, xd) :: List.remove_assoc id s.x_more
+
+let x_delta_count s =
+  if s.x_id0 = unset then 0 else 1 + List.length s.x_more
+
 (* A damaged chunk dooms its TPDU: report at once and release state, so
    a retransmission (with identical, correct labels) starts clean.  The
    offending chunk is discarded without being processed — "the error
    detection system will detect the incorrect sequence numbers and allow
    any incorrect chunks to be discarded" (Appendix A). *)
 let fail_now v t_id verdict =
-  (match Hashtbl.find_opt v.tpdus t_id with
-  | Some s -> note_verdict v s t_id verdict
-  | None -> ());
+  (match find v t_id with
+  | s -> note_verdict v s t_id verdict
+  | exception Not_found -> ());
   Hashtbl.remove v.tpdus t_id;
   v.failed <- v.failed + 1;
   [ Tpdu_verified { t_id; verdict } ]
@@ -140,38 +185,45 @@ let fail_now v t_id verdict =
    X.ID must not recur after a different one.  This catches a corrupted
    X.ID on a {e non-boundary} chunk, which neither the parity (pairs
    come from boundary chunks only) nor the per-X.ID delta check sees. *)
+let rec x_walk s seen = function
+  | [] | [ _ ] -> true
+  | (sn_a, len_a, xa, _) :: ((sn_b, _, xb, xsn_b) :: _ as rest) ->
+      if xa = xb then x_walk s seen rest
+      else begin
+        let boundary = sn_a + len_a - 1 in
+        (* the new external PDU starts just after the boundary, so its
+           element at T.SN [sn_b] has X.SN [sn_b - boundary - 1] *)
+        mem_int boundary s.pairs_done
+        && xsn_b = sn_b - boundary - 1
+        && (not (mem_int xb seen))
+        && x_walk s (xa :: seen) rest
+      end
+
+(* Runs that all carry one X.ID pass the walk whatever their order. *)
+let rec one_x_id xa = function
+  | [] -> true
+  | (_, _, x, _) :: rest -> x = xa && one_x_id xa rest
+
 let x_framing_ok s =
-  let spans =
-    List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) s.x_spans
-  in
-  let rec walk seen = function
-    | [] | [ _ ] -> true
-    | (sn_a, len_a, xa, _) :: ((sn_b, _, xb, xsn_b) :: _ as rest) ->
-        if xa = xb then walk seen rest
-        else begin
-          let boundary = sn_a + len_a - 1 in
-          (* the new external PDU starts just after the boundary, so its
-             element at T.SN [sn_b] has X.SN [sn_b - boundary - 1] *)
-          Hashtbl.mem s.pairs_done boundary
-          && xsn_b = sn_b - boundary - 1
-          && (not (List.mem xb seen))
-          && walk (xa :: seen) rest
-        end
-  in
-  walk [] spans
+  match s.x_spans with
+  | [] -> true
+  | (_, _, xa, _) :: rest when one_x_id xa rest -> true
+  | spans ->
+      x_walk s []
+        (List.sort (fun (a, _, _, _) (b, _, _, _) -> Int.compare a b) spans)
 
 let verdict_of s =
-  match (s.damage, s.expected) with
-  | Some msg, _ -> Reassembly_error msg
-  | None, Some expected ->
-      if not (Wsc2.verify ~expected s.acc) then Parity_mismatch
+  match s.damage with
+  | Some msg -> Reassembly_error msg
+  | None ->
+      if s.expected == no_parity then Reassembly_error "ED chunk never arrived"
+      else if not (Wsc2.verify ~expected:s.expected s.acc) then Parity_mismatch
       else if not (x_framing_ok s) then
         Consistency_failure "X framing not contiguous"
       else Passed
-  | None, None -> Reassembly_error "ED chunk never arrived"
 
 let try_finish v t_id s =
-  if Vreassembly.complete s.tracker && s.expected <> None then begin
+  if Vreassembly.complete s.tracker && s.expected != no_parity then begin
     let verdict = verdict_of s in
     note_verdict v s t_id verdict;
     Hashtbl.remove v.tpdus t_id;
@@ -185,172 +237,157 @@ let try_finish v t_id s =
 
 (* Returns the first on-arrival problem with this chunk, if any. *)
 let arrival_check s (h : Header.t) =
-  let size_problem =
-    match Invariant.check_size ~size:h.Header.size with
-    | Error msg -> Some (Reassembly_error msg)
-    | Ok spw
-      when h.Header.t.Ftuple.sn > Invariant.data_limit_symbols
-           || (h.Header.t.Ftuple.sn + h.Header.len) * spw
-              > Invariant.data_limit_symbols ->
+  let size = h.Header.size in
+  match Invariant.size_error ~size with
+  | Some msg -> Some (Reassembly_error msg)
+  | None ->
+      let spw = size / 4 in
+      let c = h.Header.c and t = h.Header.t in
+      if
+        t.Ftuple.sn > Invariant.data_limit_symbols
+        || (t.Ftuple.sn + h.Header.len) * spw > Invariant.data_limit_symbols
+      then
         (* a (possibly corrupted) T.SN/LEN that escapes the invariant's
            data region can never virtually reassemble *)
         Some (Reassembly_error "TPDU data outside the invariant region")
-    | Ok _ -> (
-        match s.size with
-        | Some sz when sz <> h.Header.size ->
-            Some (Reassembly_error "SIZE changed between chunks")
-        | Some _ | None -> None)
-  in
-  match size_problem with
-  | Some _ as p -> p
-  | None ->
-      if h.Header.c.Ftuple.st && not h.Header.t.Ftuple.st then
+      else if s.size <> unset && s.size <> size then
+        Some (Reassembly_error "SIZE changed between chunks")
+      else if c.Ftuple.st && not t.Ftuple.st then
         (* The C.ST bit can be set only on a TPDU boundary (§4). *)
         Some (Consistency_failure "C.ST set off a TPDU boundary")
-      else (
-        match s.c_id with
-        | Some id when id <> h.Header.c.Ftuple.id ->
-            Some (Consistency_failure "C.ID changed between chunks")
-        | Some _ | None -> (
-            let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
-            match s.delta_ct with
-            | Some d when d <> delta ->
-                Some (Consistency_failure "C.SN - T.SN changed")
-            | Some _ | None -> (
-                let xd = h.Header.c.Ftuple.sn - h.Header.x.Ftuple.sn in
-                match Hashtbl.find_opt s.x_deltas h.Header.x.Ftuple.id with
-                | Some d when d <> xd ->
-                    Some (Consistency_failure "C.SN - X.SN changed")
-                | Some _ | None -> None)))
+      else if s.c_id <> unset && s.c_id <> c.Ftuple.id then
+        Some (Consistency_failure "C.ID changed between chunks")
+      else if s.delta_ct <> unset && s.delta_ct <> c.Ftuple.sn - t.Ftuple.sn
+      then Some (Consistency_failure "C.SN - T.SN changed")
+      else if
+        x_delta_conflict s h.Header.x.Ftuple.id
+          (c.Ftuple.sn - h.Header.x.Ftuple.sn)
+      then Some (Consistency_failure "C.SN - X.SN changed")
+      else None
 
 let commit_arrival s (h : Header.t) =
-  if s.size = None then s.size <- Some h.Header.size;
-  if s.c_id = None then s.c_id <- Some h.Header.c.Ftuple.id;
-  if s.delta_ct = None then
-    s.delta_ct <- Some (h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn);
-  let xd = h.Header.c.Ftuple.sn - h.Header.x.Ftuple.sn in
-  if not (Hashtbl.mem s.x_deltas h.Header.x.Ftuple.id) then
-    Hashtbl.add s.x_deltas h.Header.x.Ftuple.id xd
+  let c = h.Header.c in
+  if s.size = unset then s.size <- h.Header.size;
+  if s.c_id = unset then s.c_id <- c.Ftuple.id;
+  if s.delta_ct = unset then s.delta_ct <- c.Ftuple.sn - h.Header.t.Ftuple.sn;
+  let x = h.Header.x in
+  if not (has_x_delta s x.Ftuple.id) then
+    set_x_delta s x.Ftuple.id (c.Ftuple.sn - x.Ftuple.sn)
 
-(* Accumulate exactly the fresh element sub-runs of a chunk's payload,
-   which sits in [buf] at [off].  The unchecked fast path is safe here:
-   [fresh] runs are sub-ranges of the chunk's own [sn, sn + len) (so the
-   byte slice is inside the payload, which [on_view] checked lies inside
-   [buf]), and [arrival_check] already rejected any chunk whose element
-   span escapes the invariant's data region, so every position is in
-   range. *)
-let accumulate_fresh s (h : Header.t) buf off fresh =
-  let size = h.Header.size in
-  (* where element T.SN 0 would sit in [buf] *)
-  let origin = off - (h.Header.t.Ftuple.sn * size) in
-  List.iter
-    (fun (sn, len) ->
-      match Invariant.data_position ~size ~t_sn:sn with
-      | Error msg -> if s.damage = None then s.damage <- Some msg
-      | Ok pos ->
-          Wsc2.add_subbytes_exn s.acc ~pos buf (origin + (sn * size))
-            (len * size))
-    fresh
+(* Accumulate exactly the fresh element sub-runs of a chunk's payload;
+   [origin] is where element T.SN 0 would sit in the chunk's buffer.
+   The unchecked fast path is safe here: [fresh] runs are sub-ranges of
+   the chunk's own [sn, sn + len) with [sn >= 0] (so the byte slice is
+   inside the payload, which [on_view] checked lies inside [buf]), and
+   [arrival_check] already rejected any chunk whose element span
+   escapes the invariant's data region, so every position is in range.
+   Each fresh run is also recorded for the X-framing check. *)
+let rec accumulate_fresh s ~size ~spw buf origin (x : Ftuple.t) ~t_sn =
+  function
+  | [] -> ()
+  | (sn, len) :: rest ->
+      Wsc2.add_subbytes_exn s.acc ~pos:(sn * spw) buf (origin + (sn * size))
+        (len * size);
+      s.x_spans <- (sn, len, x.Ftuple.id, x.Ftuple.sn + (sn - t_sn)) :: s.x_spans;
+      accumulate_fresh s ~size ~spw buf origin x ~t_sn rest
+
+let rec fresh_events t_id tail = function
+  | [] -> tail
+  | (sn, len) :: rest ->
+      Fresh_data { t_id; t_sn = sn; elems = len } :: fresh_events t_id tail rest
+
+(* The WSC-2 contributions of a chunk's labels: the X pair of a
+   boundary chunk (deduplicated independently of payload freshness: a
+   refragmented retransmission can re-deliver a boundary on an
+   all-duplicate chunk), and the T.ID, C.ID and C.ST symbols once, from
+   the first T.ST chunk. *)
+let accumulate_labels s (h : Header.t) =
+  let t = h.Header.t and x = h.Header.x in
+  if t.Ftuple.st || x.Ftuple.st then begin
+    let boundary = t.Ftuple.sn + h.Header.len - 1 in
+    if not (mem_int boundary s.pairs_done) then begin
+      s.pairs_done <- boundary :: s.pairs_done;
+      let pos = Invariant.xpair_position ~boundary_t_sn:boundary in
+      Wsc2.add_symbol s.acc ~pos (x.Ftuple.id land 0xFFFF_FFFF);
+      Wsc2.add_symbol s.acc ~pos:(pos + 1)
+        (Encoder.xpair_second_symbol ~boundary_t_sn:boundary ~x_st:x.Ftuple.st)
+    end
+  end;
+  if t.Ftuple.st && not s.labels_done then begin
+    let c = h.Header.c in
+    s.labels_done <- true;
+    Wsc2.add_symbol s.acc ~pos:Invariant.tid_position
+      (t.Ftuple.id land 0xFFFF_FFFF);
+    Wsc2.add_symbol s.acc ~pos:Invariant.cid_position
+      (c.Ftuple.id land 0xFFFF_FFFF);
+    Wsc2.add_symbol s.acc ~pos:Invariant.cst_position
+      (if c.Ftuple.st then Gf232.one else Gf232.zero)
+  end
 
 let on_data v (h : Header.t) buf off =
-  let t_id = h.Header.t.Ftuple.id in
+  let t = h.Header.t in
+  let t_id = t.Ftuple.id in
   let s = state v t_id in
   match arrival_check s h with
   | Some verdict -> fail_now v t_id verdict
   | None -> (
       commit_arrival s h;
       match
-        Vreassembly.insert_new s.tracker ~sn:h.Header.t.Ftuple.sn
-          ~len:h.Header.len ~st:h.Header.t.Ftuple.st
+        Vreassembly.insert_new s.tracker ~sn:t.Ftuple.sn ~len:h.Header.len
+          ~st:t.Ftuple.st
       with
       | Error `Inconsistent ->
           fail_now v t_id
             (Reassembly_error "fragment beyond or contradicting the TPDU end")
+      | Ok [] ->
+          v.dups <- v.dups + 1;
+          if Obs.enabled then Obs.Metrics.incr m_dups;
+          accumulate_labels s h;
+          Duplicate_dropped { t_id } :: try_finish v t_id s
       | Ok fresh ->
-          let events = ref [] in
-          (match fresh with
-          | [] ->
-              v.dups <- v.dups + 1;
-              if Obs.enabled then Obs.Metrics.incr m_dups;
-              events := [ Duplicate_dropped { t_id } ]
-          | _ :: _ ->
-              accumulate_fresh s h buf off fresh;
-              List.iter
-                (fun (sn, len) ->
-                  let xsn =
-                    h.Header.x.Ftuple.sn + (sn - h.Header.t.Ftuple.sn)
-                  in
-                  s.x_spans <- (sn, len, h.Header.x.Ftuple.id, xsn) :: s.x_spans)
-                fresh;
-              events :=
-                List.map
-                  (fun (sn, len) ->
-                    Fresh_data { t_id; t_sn = sn; elems = len })
-                  fresh);
-          (* Boundary contributions are deduplicated independently of
-             payload freshness: a refragmented retransmission can
-             re-deliver a boundary on an all-duplicate chunk. *)
-          if h.Header.t.Ftuple.st || h.Header.x.Ftuple.st then begin
-            let boundary = h.Header.t.Ftuple.sn + h.Header.len - 1 in
-            if not (Hashtbl.mem s.pairs_done boundary) then begin
-              Hashtbl.add s.pairs_done boundary ();
-              let pos = Invariant.xpair_position ~boundary_t_sn:boundary in
-              Wsc2.add_symbol s.acc ~pos
-                (h.Header.x.Ftuple.id land 0xFFFF_FFFF);
-              Wsc2.add_symbol s.acc ~pos:(pos + 1)
-                (Encoder.xpair_second_symbol ~boundary_t_sn:boundary
-                   ~x_st:h.Header.x.Ftuple.st)
-            end
-          end;
-          if h.Header.t.Ftuple.st && not s.labels_done then begin
-            s.labels_done <- true;
-            Wsc2.add_symbol s.acc ~pos:Invariant.tid_position
-              (h.Header.t.Ftuple.id land 0xFFFF_FFFF);
-            Wsc2.add_symbol s.acc ~pos:Invariant.cid_position
-              (h.Header.c.Ftuple.id land 0xFFFF_FFFF);
-            Wsc2.add_symbol s.acc ~pos:Invariant.cst_position
-              (if h.Header.c.Ftuple.st then Gf232.one else Gf232.zero)
-          end;
-          !events @ try_finish v t_id s)
+          let size = h.Header.size in
+          accumulate_fresh s ~size ~spw:(size / 4) buf
+            (off - (t.Ftuple.sn * size))
+            h.Header.x ~t_sn:t.Ftuple.sn fresh;
+          accumulate_labels s h;
+          fresh_events t_id (try_finish v t_id s) fresh)
 
 let on_ed v (h : Header.t) buf off =
   let t_id = h.Header.t.Ftuple.id in
   let s = state v t_id in
+  let c = h.Header.c in
   if Header.payload_bytes h <> 12 then
     fail_now v t_id (Reassembly_error "malformed ED chunk payload")
-  else
-    match s.c_id with
-    | Some id when id <> h.Header.c.Ftuple.id ->
-        fail_now v t_id (Consistency_failure "ED chunk C.ID mismatch")
-    | Some _ | None ->
-  begin
+  else if s.c_id <> unset && s.c_id <> c.Ftuple.id then
+    fail_now v t_id (Consistency_failure "ED chunk C.ID mismatch")
+  else begin
     let parity = Wsc2.parity_of_bytes buf off in
     let total = Int32.to_int (Bytes.get_int32_be buf (off + 8)) land 0xFFFF_FFFF in
-    match s.expected with
-    | Some p when not (Wsc2.parity_equal p parity) ->
-        fail_now v t_id (Reassembly_error "conflicting ED chunks")
-    | Some _ | None -> (
-        (* The ED chunk also pins the C.SN - T.SN delta (its T.SN is 0,
-           its C.SN the TPDU's first element) and the TPDU's extent.  A
-           delta already established by data chunks must agree: with a
-           single data chunk the delta check in [arrival_check] never
-           fires, so this comparison is the only consistency coverage
-           the connection label gets. *)
-        let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
-        match s.delta_ct with
-        | Some d when d <> delta ->
-            fail_now v t_id (Consistency_failure "ED chunk C.SN mismatch")
-        | Some _ | None -> (
-            s.expected <- Some parity;
-            if s.delta_ct = None then s.delta_ct <- Some delta;
-            if total < 1 then
-              fail_now v t_id (Reassembly_error "ED chunk announces no data")
-            else
-              match Vreassembly.set_total s.tracker total with
-              | Error `Inconsistent ->
-                  fail_now v t_id
-                    (Reassembly_error "ED extent contradicts received data")
-              | Ok () -> try_finish v t_id s))
+    if s.expected != no_parity && not (Wsc2.parity_equal s.expected parity)
+    then fail_now v t_id (Reassembly_error "conflicting ED chunks")
+    else begin
+      (* The ED chunk also pins the C.SN - T.SN delta (its T.SN is 0,
+         its C.SN the TPDU's first element) and the TPDU's extent.  A
+         delta already established by data chunks must agree: with a
+         single data chunk the delta check in [arrival_check] never
+         fires, so this comparison is the only consistency coverage the
+         connection label gets. *)
+      let delta = c.Ftuple.sn - h.Header.t.Ftuple.sn in
+      if s.delta_ct <> unset && s.delta_ct <> delta then
+        fail_now v t_id (Consistency_failure "ED chunk C.SN mismatch")
+      else begin
+        s.expected <- parity;
+        if s.delta_ct = unset then s.delta_ct <- delta;
+        if total < 1 then
+          fail_now v t_id (Reassembly_error "ED chunk announces no data")
+        else
+          match Vreassembly.set_total s.tracker total with
+          | Error `Inconsistent ->
+              fail_now v t_id
+                (Reassembly_error "ED extent contradicts received data")
+          | Ok () -> try_finish v t_id s
+      end
+    end
   end
 
 let on_view v (h : Header.t) buf off =
@@ -375,19 +412,19 @@ let in_flight_ids v =
   Hashtbl.fold (fun id _ acc -> id :: acc) v.tpdus [] |> List.sort Int.compare
 
 let missing v ~t_id =
-  Option.map
-    (fun s -> Vreassembly.missing s.tracker)
-    (Hashtbl.find_opt v.tpdus t_id)
+  match find v t_id with
+  | s -> Some (Vreassembly.missing s.tracker)
+  | exception Not_found -> None
 
 let ed_seen v ~t_id =
-  match Hashtbl.find_opt v.tpdus t_id with
-  | Some s -> s.expected <> None
-  | None -> false
+  match find v t_id with
+  | s -> s.expected != no_parity
+  | exception Not_found -> false
 
 let abort v ~t_id =
-  match Hashtbl.find_opt v.tpdus t_id with
-  | None -> None
-  | Some s ->
+  match find v t_id with
+  | exception Not_found -> None
+  | s ->
       let verdict =
         if not (Vreassembly.complete s.tracker) then
           Reassembly_error "virtual reassembly never completed"
@@ -405,18 +442,20 @@ let abandon = abort
 
 (* Conservative per-TPDU accounting: a fixed overhead for the WSC-2
    accumulator and the mutable cells, plus the per-span costs of the
-   virtual-reassembly tracker and the X-framing record.  Exact heap
-   words do not matter; what matters is that the figure grows with the
-   state an adversary can force us to hold. *)
+   virtual-reassembly tracker and the X-framing record, and 16 bytes per
+   paired boundary and per X.ID delta.  Exact heap words do not matter
+   (the figure predates the flat layout and is kept, because the
+   governor's eviction choices read it); what matters is that it grows
+   with the state an adversary can force us to hold. *)
 let footprint_bytes v ~t_id =
-  match Hashtbl.find_opt v.tpdus t_id with
-  | None -> 0
-  | Some s ->
+  match find v t_id with
+  | exception Not_found -> 0
+  | s ->
       128
       + (24 * List.length (Vreassembly.spans s.tracker))
       + (40 * List.length s.x_spans)
-      + (16 * Hashtbl.length s.pairs_done)
-      + (16 * Hashtbl.length s.x_deltas)
+      + (16 * List.length s.pairs_done)
+      + (16 * x_delta_count s)
 
 let stats v =
   {
@@ -466,17 +505,16 @@ let export v =
         ti_parity = Wsc2.snapshot s.acc;
         ti_spans = Vreassembly.spans s.tracker;
         ti_total = Vreassembly.total s.tracker;
-        ti_pairs =
-          Hashtbl.fold (fun k () l -> k :: l) s.pairs_done []
-          |> List.sort Int.compare;
+        ti_pairs = List.sort Int.compare s.pairs_done;
         ti_x_deltas =
-          Hashtbl.fold (fun k d l -> (k, d) :: l) s.x_deltas []
-          |> List.sort compare;
-        ti_delta_ct = s.delta_ct;
-        ti_c_id = s.c_id;
-        ti_size = s.size;
+          (if s.x_id0 = unset then []
+           else List.sort compare ((s.x_id0, s.x_delta0) :: s.x_more));
+        ti_delta_ct = (if s.delta_ct = unset then None else Some s.delta_ct);
+        ti_c_id = (if s.c_id = unset then None else Some s.c_id);
+        ti_size = (if s.size = unset then None else Some s.size);
         ti_labels_done = s.labels_done;
-        ti_expected = s.expected;
+        ti_expected =
+          (if s.expected == no_parity then None else Some s.expected);
         ti_damage = s.damage;
         ti_x_spans = List.sort compare s.x_spans;
       }
@@ -500,13 +538,16 @@ let import v img =
         match Vreassembly.set_total s.tracker total with
         | Ok () | Error `Inconsistent -> ())
     | None -> ());
-    List.iter (fun k -> Hashtbl.replace s.pairs_done k ()) img.ti_pairs;
-    List.iter (fun (k, d) -> Hashtbl.replace s.x_deltas k d) img.ti_x_deltas;
-    s.delta_ct <- img.ti_delta_ct;
-    s.c_id <- img.ti_c_id;
-    s.size <- img.ti_size;
+    List.iter
+      (fun k -> if not (mem_int k s.pairs_done) then s.pairs_done <- k :: s.pairs_done)
+      img.ti_pairs;
+    List.iter (fun (k, d) -> set_x_delta s k d) img.ti_x_deltas;
+    let cell = function Some x -> x | None -> unset in
+    s.delta_ct <- cell img.ti_delta_ct;
+    s.c_id <- cell img.ti_c_id;
+    s.size <- cell img.ti_size;
     s.labels_done <- img.ti_labels_done;
-    s.expected <- img.ti_expected;
+    s.expected <- Option.value img.ti_expected ~default:no_parity;
     s.damage <- img.ti_damage;
     s.x_spans <- img.ti_x_spans
   end

@@ -73,39 +73,29 @@ let expected_elements config ~data_len =
   + ((rem + config.elem_size - 1) / config.elem_size)
 
 let ack_packet ~conn_id ~t_id =
-  let c = Ftuple.v ~id:conn_id ~sn:0 () in
-  let t = Ftuple.v ~id:t_id ~sn:0 () in
-  let ack =
-    match Chunk.control ~kind:Ctype.ack ~c ~t ~x:Ftuple.zero (Bytes.make 4 '\000') with
-    | Ok a -> a
-    | Error e -> invalid_arg e
-  in
-  match Wire.encode_packet [ ack ] with
-  | Ok b -> b
-  | Error e -> invalid_arg e
+  Wire.control_packet ~kind:Ctype.ack ~c_id:conn_id ~t_id 4
 
 (* NACK payload: [u8 flags (bit0 = resend the ED chunk)]
-   [u16 span count][count * (u32 t_sn, u32 len)]. *)
+   [u16 span count][count * (u32 t_sn, u32 len)]; at most 64 spans. *)
+let max_nack_spans = 64
+
 let nack_packet ~conn_id ~t_id ~need_ed ~spans =
-  let spans = if List.length spans > 64 then List.filteri (fun i _ -> i < 64) spans else spans in
-  let payload = Bytes.make (3 + (8 * List.length spans)) '\000' in
-  Bytes.set_uint8 payload 0 (if need_ed then 1 else 0);
-  Bytes.set_uint16_be payload 1 (List.length spans);
-  List.iteri
-    (fun i (sn, len) ->
-      Bytes.set_int32_be payload (3 + (8 * i)) (Int32.of_int sn);
-      Bytes.set_int32_be payload (7 + (8 * i)) (Int32.of_int len))
-    spans;
-  let c = Ftuple.v ~id:conn_id ~sn:0 () in
-  let t = Ftuple.v ~id:t_id ~sn:0 () in
-  let nk =
-    match Chunk.control ~kind:Ctype.nack ~c ~t ~x:Ftuple.zero payload with
-    | Ok n -> n
-    | Error e -> invalid_arg e
+  let count = Int.min max_nack_spans (List.length spans) in
+  let b =
+    Wire.control_packet ~kind:Ctype.nack ~c_id:conn_id ~t_id (3 + (8 * count))
   in
-  match Wire.encode_packet [ nk ] with
-  | Ok b -> b
-  | Error e -> invalid_arg e
+  let p = Wire.header_size in
+  Bytes.set_uint8 b p (if need_ed then 1 else 0);
+  Bytes.set_uint16_be b (p + 1) count;
+  let rec put i = function
+    | (sn, len) :: rest when i < count ->
+        Bytes.set_int32_be b (p + 3 + (8 * i)) (Int32.of_int sn);
+        Bytes.set_int32_be b (p + 7 + (8 * i)) (Int32.of_int len);
+        put (i + 1) rest
+    | _ -> ()
+  in
+  put 0 spans;
+  b
 
 (* Transport-level accounting.  The ACK counter is deliberately bumped
    at exactly the fresh-ACK site (first [Tpdu_verified Passed] for a
@@ -218,12 +208,25 @@ module Receiver = struct
      inherit the same wrong delta).  Until the two agree, fresh data
      waits in a per-TPDU stash; the moment they agree it flushes.
      Disagreement is left to the verifier, which fails the TPDU so the
-     identical-label retransmission starts a clean epoch. *)
+     identical-label retransmission starts a clean epoch.
+
+     A stash entry reads its payload where it lies: in the packet it
+     arrived in while that packet is being ingested (a view), in a copy
+     of its own after that.  [settle] makes the copy, once per chunk,
+     for every entry still stashed when the packet is done. *)
+  type stashed = {
+    sh : Header.t;
+    mutable sbuf : bytes;
+    mutable soff : int;  (* the payload's offset in [sbuf] *)
+    st_sn : int;  (* the fresh run: first T.SN ... *)
+    selems : int;  (* ... and element count *)
+  }
+
   type corroboration = {
     mutable delta_data : int option;  (* C.SN - T.SN from data chunks *)
     mutable delta_ed : int option;  (* C.SN - T.SN from the ED chunk *)
     mutable confirmed : bool;
-    mutable stash : (Chunk.t * int * int) list;  (* (chunk, t_sn, elems) *)
+    mutable stash : stashed list;  (* newest first *)
     mutable placed_runs : (int * int) list;
         (* (c_sn, elems) runs this TPDU has placed; credited to the
            verified coverage only if the TPDU passes *)
@@ -283,7 +286,9 @@ module Receiver = struct
        that carried it verifies — a forged or corrupted C.ST must not
        truncate the stream *)
     mutable end_confirmed : int option;
-    element_delay : Netsim.Stats.t;
+    (* element runs placed: each was available to the application the
+       instant it arrived, so the element-delay summary is all zeros *)
+    mutable instant_runs : int;
     tpdu_latency : Netsim.Stats.t;
     (* the receiver fields of [Rx_stats], kept inline so a receiver
        costs no extra record; [stats] assembles them *)
@@ -309,6 +314,9 @@ module Receiver = struct
        flight *)
     mutable ident_min : int;
     scan : Wire.Scan.t;
+    (* corroboration records that stashed a view of the packet being
+       ingested; [settle] empties it *)
+    mutable views : corroboration list;
   }
 
   let gov_key rx t_id = { Governor.conn = rx.config.conn_id; tpdu = t_id }
@@ -347,6 +355,12 @@ module Receiver = struct
         else None)
       runs
 
+  (* Forget [l]'s corroboration record, stash included, so that no view
+     of it is copied when the packet is settled. *)
+  let drop_corrob l =
+    (match l.corrob with Some m -> m.stash <- [] | None -> ());
+    l.corrob <- None
+
   (* TPDUs holding verifier or corroboration state. *)
   let tracked_ids rx =
     List.sort_uniq compare
@@ -364,7 +378,7 @@ module Receiver = struct
     ignore (Edc.Verifier.abandon rx.verifier ~t_id);
     match Hashtbl.find_opt rx.tpdus t_id with
     | Some (Live l) ->
-        l.corrob <- None;
+        drop_corrob l;
         l.end_claim <- None;
         l.first_arrival <- nan;
         retire rx t_id l
@@ -405,7 +419,7 @@ module Receiver = struct
         verified_cover = Vreassembly.create ();
         shed_cover = Vreassembly.create ();
         end_confirmed = None;
-        element_delay = Netsim.Stats.create ();
+        instant_runs = 0;
         tpdu_latency = Netsim.Stats.create ();
         nacks_sent = 0;
         reacks_sent = 0;
@@ -418,6 +432,7 @@ module Receiver = struct
         restored_passes = 0;
         ident_min = max_int;
         scan = Wire.Scan.create ();
+        views = [];
       }
     in
     if own_governor then
@@ -465,8 +480,7 @@ module Receiver = struct
            with
            | Ok sub -> m.quarantine <- (sub, c_sn, elems) :: m.quarantine
            | Error _ -> ());
-        (* Available to the application the instant it arrived. *)
-        Netsim.Stats.add rx.element_delay 0.0
+        rx.instant_runs <- rx.instant_runs + 1
     | Error _ -> ()
 
   let corrob_of l =
@@ -483,10 +497,36 @@ module Receiver = struct
   let flush_stash rx m =
     let pending = List.rev m.stash in
     m.stash <- [];
+    (match rx.views with m' :: rest when m' == m -> rx.views <- rest | _ -> ());
     List.iter
-      (fun (c, t_sn, elems) ->
-        place_fresh rx m c.Chunk.header c.Chunk.payload 0 ~t_sn ~elems)
+      (fun e -> place_fresh rx m e.sh e.sbuf e.soff ~t_sn:e.st_sn ~elems:e.selems)
       pending
+
+  (* Copy the entries of [stash] that still view packet [b], one copy
+     per chunk: a chunk's entries are adjacent and share its offset. *)
+  let rec copy_views b prev_off prev_copy = function
+    | [] -> ()
+    | e :: rest ->
+        if e.sbuf == b then begin
+          let copy =
+            if e.soff = prev_off then prev_copy
+            else Bytes.sub b e.soff (Header.payload_bytes e.sh)
+          in
+          let off = e.soff in
+          e.sbuf <- copy;
+          e.soff <- 0;
+          copy_views b off copy rest
+        end
+        else copy_views b prev_off prev_copy rest
+
+  let settle rx b =
+    match rx.views with
+    | [] -> ()
+    | views ->
+        rx.views <- [];
+        List.iter (fun m -> copy_views b (-1) Bytes.empty m.stash) views
+
+  let holds_views rx = rx.views <> []
 
   (* Note the chunk's connection delta before the verifier sees it, so
      that an ED chunk flushes the stash before the [Tpdu_verified] event
@@ -550,8 +590,11 @@ module Receiver = struct
       match corrob with
       | None -> 0
       | Some m ->
-          let held acc (c, _, _) = acc + Bytes.length c.Chunk.payload + 48 in
-          List.fold_left held
+          let held acc e = acc + Header.payload_bytes e.sh + 48 in
+          let quarantined acc (c, _, _) =
+            acc + Bytes.length c.Chunk.payload + 48
+          in
+          List.fold_left quarantined
             (List.fold_left held (16 * List.length m.placed_runs) m.stash)
             m.quarantine
     in
@@ -752,41 +795,33 @@ module Receiver = struct
 
   (* Dispatch the verifier's events for one chunk of the TPDU in flight
      as [l] (every event names the chunk's own T.ID).  The chunk is
-     labelled [h] and its payload read in place, in [buf] at [poff].  It
-     is copied out of [buf] at most once, and only when a fresh run of
-     it has to wait in the corroboration stash, past the packet's life:
-     [stashed] carries that copy across the chunk's events. *)
-  let rec handle_events rx l (h : Header.t) buf poff stashed = function
+     labelled [h] and its payload read in place, in [buf] at [poff]; a
+     fresh run that has to wait for corroboration is stashed as a view
+     of [buf], which [settle] copies if it is still stashed when the
+     packet is done. *)
+  let rec handle_events rx l (h : Header.t) buf poff = function
     | [] -> ()
     | ev :: rest -> (
         match ev with
         | Edc.Verifier.Fresh_data { t_id = _; t_sn; elems } ->
             let m = corrob_of l in
-            if m.confirmed then begin
-              place_fresh rx m h buf poff ~t_sn ~elems;
-              handle_events rx l h buf poff stashed rest
-            end
+            if m.confirmed then place_fresh rx m h buf poff ~t_sn ~elems
             else begin
-              let c =
-                match stashed with
-                | Some c -> c
-                | None ->
-                    Chunk.make_exn h
-                      (Bytes.sub buf poff (Header.payload_bytes h))
-              in
-              m.stash <- (c, t_sn, elems) :: m.stash;
-              handle_events rx l h buf poff (Some c) rest
-            end
+              m.stash <-
+                { sh = h; sbuf = buf; soff = poff; st_sn = t_sn; selems = elems }
+                :: m.stash;
+              if not (List.memq m rx.views) then rx.views <- m :: rx.views
+            end;
+            handle_events rx l h buf poff rest
         | Edc.Verifier.Tpdu_verified { t_id; verdict = Edc.Verifier.Passed } ->
             tpdu_passed rx t_id l;
-            handle_events rx l h buf poff stashed rest
+            handle_events rx l h buf poff rest
         | Edc.Verifier.Tpdu_verified { t_id = _; verdict = _ } ->
             (* failed epoch: its stash and end claim go with it *)
-            l.corrob <- None;
+            drop_corrob l;
             l.end_claim <- None;
-            handle_events rx l h buf poff stashed rest
-        | Edc.Verifier.Duplicate_dropped _ ->
-            handle_events rx l h buf poff stashed rest)
+            handle_events rx l h buf poff rest
+        | Edc.Verifier.Duplicate_dropped _ -> handle_events rx l h buf poff rest)
 
   let trace_rx rx b off t_id =
     if Obs.enabled && Obs.Trace.active () then
@@ -816,8 +851,7 @@ module Receiver = struct
     end;
     witness rx l h;
     let poff = off + Wire.header_size in
-    handle_events rx l h b poff None
-      (Edc.Verifier.on_view rx.verifier h b poff);
+    handle_events rx l h b poff (Edc.Verifier.on_view rx.verifier h b poff);
     retire rx t_id l;
     account rx t_id l.corrob
 
@@ -851,9 +885,15 @@ module Receiver = struct
   let ingest rx b =
     Busmodel.nic_to_mem rx.bus (Bytes.length b);
     if Wire.Scan.packet rx.scan b then
-      for i = 0 to Wire.Scan.count rx.scan - 1 do
-        on_scanned rx b (Wire.Scan.offset rx.scan i)
-      done
+      match
+        for i = 0 to Wire.Scan.count rx.scan - 1 do
+          on_scanned rx b (Wire.Scan.offset rx.scan i)
+        done
+      with
+      | () -> settle rx b
+      | exception e ->
+          settle rx b;
+          raise e
 
   let contents rx = Placement.contents rx.placement
   let delivered_elems rx = Placement.placed_elems rx.placement
@@ -892,6 +932,14 @@ module Receiver = struct
         | None -> false)
 
   let tpdu_latency rx = rx.tpdu_latency
+
+  (* The summary of one zero delay per placed run. *)
+  let element_delay rx =
+    if rx.instant_runs = 0 then None
+    else
+      Some
+        { Netsim.Stats.count = rx.instant_runs; mean = 0.0; min = 0.0;
+          max = 0.0; p50 = 0.0; p90 = 0.0; p99 = 0.0 }
   let verifier_stats rx = Edc.Verifier.stats rx.verifier
   let verifier_in_flight rx = Edc.Verifier.in_flight rx.verifier
   let stats rx =
@@ -941,11 +989,15 @@ module Receiver = struct
       image_of rx (fun t_id -> function
         | Live { corrob = Some m; _ } ->
             let pi_stash =
-              List.rev m.stash
-              |> List.filter_map (fun (c, t_sn, elems) ->
-                     match Wire.encode_packet [ c ] with
-                     | Ok b -> Some (b, t_sn, elems)
-                     | Error _ -> None)
+              List.rev_map
+                (fun e ->
+                  (* the image of [Wire.encode_packet] for the one chunk *)
+                  let n = Header.payload_bytes e.sh in
+                  let b = Bytes.create (Wire.header_size + n) in
+                  Wire.write_header b 0 e.sh;
+                  Bytes.blit e.sbuf e.soff b Wire.header_size n;
+                  (b, e.st_sn, e.selems))
+                m.stash
             in
             Some
               {
@@ -1024,7 +1076,10 @@ module Receiver = struct
           List.filter_map
             (fun (b, t_sn, elems) ->
               match Wire.decode_packet b with
-              | Ok (c :: _) -> Some (c, t_sn, elems)
+              | Ok (c :: _) ->
+                  Some
+                    { sh = c.Chunk.header; sbuf = c.Chunk.payload; soff = 0;
+                      st_sn = t_sn; selems = elems }
               | Ok [] | Error _ -> None)
             pi.Persist.pi_stash
           |> List.rev
@@ -1792,7 +1847,7 @@ let run ?(seed = 0x5EED) ?(config = default_config) ?(loss = 0.0)
     wire_bytes = Sender.bytes_sent tx;
     retransmissions = Sender.retransmissions tx;
     sack_retransmissions = Sender.sack_retransmissions tx;
-    element_delay = Netsim.Stats.summary rx.Receiver.element_delay;
+    element_delay = Receiver.element_delay rx;
     tpdu_latency = Netsim.Stats.summary (Receiver.tpdu_latency rx);
     bus_crossings_per_byte = Busmodel.per_byte bus ~delivered:n;
     goodput_bps =

@@ -87,7 +87,18 @@ val expected_elements : config -> data_len:int -> int
 
 val ack_packet : conn_id:int -> t_id:int -> bytes
 (** One encoded packet carrying the ACK control chunk for a TPDU (used
-    by demultiplexers to re-acknowledge closed-epoch stragglers). *)
+    by demultiplexers to re-acknowledge closed-epoch stragglers): a
+    4-byte zero payload, C = [(conn_id, 0)], T = [(t_id, 0)], written in
+    place ({!Labelling.Wire.control_packet}).
+    @raise Invalid_argument if an ID is outside 32 bits. *)
+
+val nack_packet :
+  conn_id:int -> t_id:int -> need_ed:bool -> spans:(int * int) list -> bytes
+(** One encoded packet carrying a NACK control chunk, labelled as
+    {!ack_packet}: payload [u8 flags (bit 0 = resend the ED chunk)],
+    [u16 count], then [count] pairs [(u32 t_sn, u32 len)] — the first 64
+    of [spans].
+    @raise Invalid_argument if an ID is outside 32 bits. *)
 
 val m_reacks : Obs.Metrics.counter
 (** [transport_reacks_total]: bumped with every re-ACK counted in
@@ -204,13 +215,14 @@ module Receiver : sig
   (** Feed one packet from the network — the receiver's only packet
       entry point.  A single zero-allocation structural scan
       ({!Labelling.Wire.Scan}) validates the packet (a malformed one is
-      dropped whole), then each chunk takes {!on_scanned}.  Chunks
-      are processed in place: labels are read from the packet and the
-      verifier and placement read the payload from it, so no
-      [Chunk.t] is built except for a signal (whose payload is parsed)
-      and for a chunk whose fresh data must wait in the corroboration
-      stash past the call.  The caller owns [b] again once the call
-      returns: nothing retains it. *)
+      dropped whole), then each chunk takes {!on_scanned}, and the
+      packet is {!settle}d.  Chunks are processed in place: labels are
+      read from the packet and the verifier and placement read the
+      payload from it, so no [Chunk.t] is built except for a signal
+      (whose payload is parsed), and a payload is copied only if its
+      fresh data is still waiting in the corroboration stash when the
+      packet is done.  The caller owns [b] again once the call returns:
+      nothing retains it. *)
 
   val on_scanned : t -> bytes -> int -> unit
   (** [on_scanned rx b off] processes the single chunk starting at [off]
@@ -221,7 +233,19 @@ module Receiver : sig
       the receiver's per-TPDU table, so a re-offer of an acknowledged
       TPDU is re-ACKed and a straggler of a shed one dropped with
       nothing built for the chunk; a chunk past them gets one
-      [Labelling.Header.t]. *)
+      [Labelling.Header.t].  Fresh data that must wait for
+      corroboration is stashed as a view of [b]: the caller must
+      {!settle} [b] before it reuses or releases it. *)
+
+  val holds_views : t -> bool
+  (** Whether a chunk since the last {!settle} stashed a view of its
+      packet. *)
+
+  val settle : t -> bytes -> unit
+  (** [settle rx b] copies out of [b] every stash entry that still
+      views it, once per chunk, after which [rx] retains nothing of
+      [b].  Called once a packet has been fed through {!on_scanned},
+      including when a chunk of it threw. *)
 
   val contents : t -> bytes
   (** The application buffer (valid up to the placed elements). *)

@@ -87,6 +87,8 @@ type t = {
   persist : (Persist.event -> unit) option;
   l2 : l2_entry Flowcache.t;  (* hot-connection dispatch cache *)
   scan : Wire.Scan.t;
+  mutable unsettled : R.t list;
+      (* receivers holding views of the packet being ingested *)
   anomaly_budget : int;  (* quarantine trip threshold; 0 disables *)
   quarantine_base : float;  (* first penalty-box duration *)
   anomaly_decay : float;  (* quiet time that forgives the score *)
@@ -319,6 +321,7 @@ let create engine ~config ~quota_elems ~max_conns ?(bus = Busmodel.create ())
       persist;
       l2 = Flowcache.create ~name:"conn" ~slots ();
       scan = Wire.Scan.create ();
+      unsettled = [];
       anomaly_budget;
       (* both containment clocks scale with the configured round trip:
          the first box outlasts a retransmission burst, and the decay
@@ -526,6 +529,22 @@ let re_ack_closed m c t_id =
   | Some last when now m -. last < m.config.nack_delay -> ()
   | Some _ | None -> send_closed_reack m c t_id
 
+(* Remember [rx] for [settle] if it holds views of the packet. *)
+let note_views m rx =
+  match m.unsettled with
+  | r :: _ when r == rx -> ()
+  | l -> if R.holds_views rx && not (List.memq rx l) then m.unsettled <- rx :: l
+
+(* Hand one scanned chunk to [rx].  The receiver is noted even when it
+   throws: the bulkhead then catches the throw with a view possibly
+   still stashed. *)
+let feed m rx b off =
+  match R.on_scanned rx b off with
+  | () -> note_views m rx
+  | exception e ->
+      note_views m rx;
+      raise e
+
 (* Route one non-signal chunk, scanned at [off] in [b], by its labels:
    C.ID, TYPE and T.ID are read where they sit in the packet, so a chunk
    for an unknown connection is dropped with nothing allocated. *)
@@ -565,7 +584,7 @@ let route m b off =
             else rx
           in
           touch_conn m c;
-          R.on_scanned rx b off
+          feed m rx b off
       | None ->
           (* closed epoch: stale retransmissions of acknowledged TPDUs
              get their ACK again (the ledger outlives the epoch); other
@@ -653,48 +672,65 @@ let maybe_cache_conn m cid =
    routed by the labels in the packet, and only a signal, whose payload
    is parsed as an object, is materialised.  Both ways into a live epoch
    run inside one [try], the connection's exception bulkhead, so a
-   throw never escapes into the rest of the packet or batch. *)
+   throw never escapes into the rest of the packet or batch.  Once the
+   packet is done, every receiver that stashed a view of it copies what
+   it still holds ([settle]), so the caller owns the packet again. *)
+let ingest_chunks m b =
+  for i = 0 to Wire.Scan.count m.scan - 1 do
+    let cid = Wire.Scan.c_id_at m.scan i in
+    try
+      let off = Wire.Scan.offset m.scan i in
+      let code = Wire.Scan.ctype_code_at m.scan i in
+      let c_st = Wire.Scan.c_st_at m.scan i in
+      let neutral = (code = 0 || code = 1) && not c_st in
+      let fast =
+        neutral
+        &&
+        match Flowcache.find m.l2 ~k1:cid ~k2:0 with
+        | Some e -> (
+            match e.fc_conn.live with
+            | Some rx when rx == e.fc_rx && R.stream_end_elems rx = None ->
+                touch_conn m e.fc_conn;
+                feed m rx b off;
+                true
+            | Some _ | None ->
+                (* the epoch turned over (or closed) under the entry *)
+                Flowcache.invalidate m.l2 ~k1:cid ~k2:0;
+                false)
+        | None -> false
+      in
+      if fast then ()
+      else if code = Ctype.code Ctype.signal then
+        on_signal m (Wire.Scan.chunk b off)
+      else begin
+        (* routing is by connection record, not table state: traffic
+           for a live epoch must keep flowing after the C.ST data
+           chunk marked the table Closed (the final TPDU's remaining
+           chunks, and retransmissions, arrive after it) *)
+        if code = 0 then
+          ignore (Connection.on_data m.table ~conn_id:cid ~c_st : bool);
+        route m b off;
+        if neutral then maybe_cache_conn m cid
+      end
+    with e -> bulkhead m ~conn_id:cid e
+  done
+
+(* Every receiver fed from [b] gives up its views of it. *)
+let settle m b =
+  match m.unsettled with
+  | [] -> ()
+  | rxs ->
+      m.unsettled <- [];
+      List.iter (fun rx -> R.settle rx b) rxs
+
 let ingest m b =
   Busmodel.nic_to_mem m.bus (Bytes.length b);
   if Wire.Scan.packet m.scan b then
-    for i = 0 to Wire.Scan.count m.scan - 1 do
-      let cid = Wire.Scan.c_id_at m.scan i in
-      try
-        let off = Wire.Scan.offset m.scan i in
-        let code = Wire.Scan.ctype_code_at m.scan i in
-        let c_st = Wire.Scan.c_st_at m.scan i in
-        let neutral = (code = 0 || code = 1) && not c_st in
-        let fast =
-          neutral
-          &&
-          match Flowcache.find m.l2 ~k1:cid ~k2:0 with
-          | Some e -> (
-              match e.fc_conn.live with
-              | Some rx when rx == e.fc_rx && R.stream_end_elems rx = None ->
-                  touch_conn m e.fc_conn;
-                  R.on_scanned rx b off;
-                  true
-              | Some _ | None ->
-                  (* the epoch turned over (or closed) under the entry *)
-                  Flowcache.invalidate m.l2 ~k1:cid ~k2:0;
-                  false)
-          | None -> false
-        in
-        if fast then ()
-        else if code = Ctype.code Ctype.signal then
-          on_signal m (Wire.Scan.chunk b off)
-        else begin
-          (* routing is by connection record, not table state: traffic
-             for a live epoch must keep flowing after the C.ST data
-             chunk marked the table Closed (the final TPDU's remaining
-             chunks, and retransmissions, arrive after it) *)
-          if code = 0 then
-            ignore (Connection.on_data m.table ~conn_id:cid ~c_st : bool);
-          route m b off;
-          if neutral then maybe_cache_conn m cid
-        end
-      with e -> bulkhead m ~conn_id:cid e
-    done
+    match ingest_chunks m b with
+    | () -> settle m b
+    | exception e ->
+        settle m b;
+        raise e
 
 let ingest_batch m packets =
   if Obs.enabled then

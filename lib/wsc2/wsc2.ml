@@ -186,4 +186,5 @@ let encode_bytes ~pos b =
   add_bytes acc ~pos b 0 (Bytes.length b);
   snapshot acc
 
-let verify ~expected acc = parity_equal expected (snapshot acc)
+let verify ~expected acc =
+  Gf232.equal expected.p0 acc.a0 && Gf232.equal expected.p1 acc.a1

@@ -585,12 +585,39 @@ let test_golden_schedule_lines () =
         (Check.Schedule.to_string (Check.Schedule.generate ~profile ~seed:1)))
     Check.Schedule.all_profiles golden_schedule_lines
 
+(* The cache-off re-run is made only where there is a cache: the
+   fastpath-hostile seed-1 schedule (one connection, fastpath on) runs
+   once, and runs again with the cache off once it has two
+   connections. *)
+let test_cache_off_rerun_multi_only () =
+  let line =
+    List.find
+      (fun l -> Util.contains l "profile=fastpath-hostile")
+      golden_schedule_lines
+  in
+  let s = Option.get (Check.Schedule.of_string line) in
+  let reruns s =
+    List.map
+      (fun cf -> cf.Check.Driver.cf_rerun)
+      (Check.Driver.run s).Check.Driver.counterfactuals
+  in
+  Alcotest.(check bool) "single connection, fastpath on" true
+    ((not (Check.Schedule.multi_mode s)) && s.Check.Schedule.fastpath);
+  Alcotest.(check bool) "no re-run on a single connection" true (reruns s = []);
+  let s2 = { s with Check.Schedule.connections = 2 } in
+  Alcotest.(check bool) "two connections run multi" true
+    (Check.Schedule.multi_mode s2);
+  Alcotest.(check bool) "a cache-off re-run on two" true
+    (reruns s2 = [ Check.Driver.Cache_off ])
+
 let suite =
   [
     Alcotest.test_case "model geometry" `Quick test_model_geometry;
     Util.qtest ~count:150 "schedule round-trips through to_string"
       QCheck2.Gen.(tup2 gen_profile (int_range 0 1_000_000))
       prop_schedule_roundtrip;
+    Alcotest.test_case "cache-off re-run only on multi-connection schedules"
+      `Quick test_cache_off_rerun_multi_only;
     Alcotest.test_case "golden schedule lines" `Quick
       test_golden_schedule_lines;
     Alcotest.test_case "replay is deterministic" `Quick

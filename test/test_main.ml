@@ -19,6 +19,7 @@ let () =
       ("multiframe", Test_multiframe.suite);
       ("demux-connection", Test_demux_connection.suite);
       ("edc", Test_edc.suite);
+      ("verifier-ref", Test_verifier_ref.suite);
       ("detect", Test_detect.suite);
       ("cipher", Test_cipher.suite);
       ("netsim", Test_netsim.suite);

@@ -30,6 +30,15 @@ let minor_words_of f =
   let overhead = measure (fun () -> ()) in
   measure f -. overhead
 
+(* Words [f ()] allocates directly in the major heap (blocks too large
+   for the minor heap, such as a 2 KiB [Bytes.sub]); words promoted by
+   a minor collection during the call are not counted. *)
+let major_words_of f =
+  let _, p0, m0 = Gc.counters () in
+  f ();
+  let _, p1, m1 = Gc.counters () in
+  m1 -. m0 -. (p1 -. p0)
+
 (* --- generators --- *)
 
 let gen_small_id = QCheck2.Gen.int_range 0 0xFFFF
