@@ -84,13 +84,7 @@ let probe_end (passed0, acks0) =
     mp_governor_peak = Obs.Metrics.gauge_max mp_occ;
   }
 
-(* Far beyond the slowest legitimate run: a sender that gives up does so
-   after at most ~303 RTOs (capped exponential backoff), RTOs are
-   clamped to 2 s, and the state governor's deadline sweep finishes
-   within one TTL of the last arrival.  Events still queued at the
-   horizon mean a component reschedules itself forever — the lockup the
-   oracle reports. *)
-let horizon = 1000.0
+let horizon = Schedule.horizon
 
 (* Everything on the forward side of the wire is common to the single-
    and multi-connection paths: door mutation, congestion dropper,

@@ -26,7 +26,6 @@ val mutation_to_string : mutation -> string
 val mutation_of_string : string -> mutation option
 
 val horizon : float
-(** Simulated-time bound on a run; far beyond the slowest legitimate
-    completion or give-up. *)
+(** {!Schedule.horizon}. *)
 
 val run : ?mutation:mutation -> ?trace:Trace.t -> Schedule.t -> observation

@@ -38,6 +38,14 @@ let faultless s =
 let multi_mode s =
   s.connections > 1 || s.reopen || s.flood <> None || s.byz <> None
 
+(* Far beyond the slowest legitimate run: a sender that gives up does so
+   after at most ~303 RTOs (capped exponential backoff), RTOs are
+   clamped to 2 s, and the state governor's deadline sweep finishes
+   within one TTL of the last arrival.  Events still queued at the
+   horizon mean a component reschedules itself forever — the lockup the
+   oracle reports. *)
+let horizon = 1000.0
+
 (* The TPDU partition of one stream, mirroring [Framer]'s cutting rules
    (and [Model.of_schedule]): frames pad to whole elements, a TPDU
    boundary falls every [tpdu_elems] elements plus once at the stream
@@ -894,6 +902,10 @@ let validate s =
           else if o.ov_stop < 0.0 then err "overlap stop cannot be negative"
           else if not (o.ov_dup || o.ov_forge || o.ov_resplit) then
             err "overlap must enable at least one mode"
+          else if multi_mode s then
+            err
+              "overlap is specified for the single-transfer path only (the \
+               multi-connection path installs no overlapper)"
           else Ok ()
       | None -> Ok ()
     in
@@ -940,6 +952,9 @@ let validate s =
             || c.cr_restart = infinity)
           s.crashes
       then err "crash times and downtimes must be positive and finite"
+      else if
+        List.exists (fun c -> c.cr_time +. c.cr_restart >= horizon) s.crashes
+      then err "every crash must restart before the %.0f s horizon" horizon
       else Ok ()
     in
     let* () =

@@ -36,6 +36,10 @@ val multi_mode : t -> bool
     connection, connection reuse, a flood adversary, or a byzantine
     peer) and runs through the driver's multi-connection path. *)
 
+val horizon : float
+(** Simulated-time bound on a run (1000 s); far beyond the slowest
+    legitimate completion or give-up. *)
+
 val config_of : t -> Transport.Chunk_transport.config
 (** Includes the shed contract: [classify] marks {!sheddable_tid} T.IDs
     [Sheddable 1] and [shed_txs] arms the sender's shed policy, so both
@@ -87,8 +91,9 @@ val validate : t -> (unit, string) result
 (** Semantic gate over a parsed schedule: every dimension constraint
     the driver and transport rely on (element alignment, the
     invariant-region TPDU bound, MTUs that hold a header, positive
-    timers, probabilities in [0, 1], ordered non-overlapping crashes,
-    no NaN in any field).
+    timers, probabilities in [0, 1], ordered non-overlapping crashes
+    that restart before the {!horizon}, overlap only on the
+    single-transfer path, no NaN in any field).
     [generate] satisfies it by construction; hand-edited replay specs
     get one readable line instead of an exception from deep inside the
     transport. *)

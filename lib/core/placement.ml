@@ -25,6 +25,7 @@ type t = {
       (* one byte per element: 0 = empty, 1 = placed (covered by a
          placed or restored run), 2 = marked only by [lock_span] *)
   lck : bytes;  (* one byte per element: the data is verified-locked *)
+  mutable lock_front : int;  (* the first element not locked *)
   mutable placed : int;  (* elements whose [occ] byte is 1 *)
   mutable lock_only : int;  (* elements whose [occ] byte is 2 *)
   mutable conflicts_seen : int;
@@ -44,6 +45,7 @@ let create ~level ~base_sn ~capacity_elems ~elem_size =
     buf = Bytes.make (capacity_elems * elem_size) '\000';
     occ = Bytes.make capacity_elems '\000';
     lck = Bytes.make capacity_elems '\000';
+    lock_front = 0;
     placed = 0;
     lock_only = 0;
     conflicts_seen = 0;
@@ -94,6 +96,44 @@ let cover p ~sn ~len =
    verified bytes, or held for quarantine. *)
 type outcome = Written | Benign | Rejected | Held
 
+type tally = { mutable runs : (int * int) list; mutable held : bool }
+
+(* Where [apply] files the runs it closes: a report keeps benign and
+   conflicting runs apart, the receive path's tally ([merged], never
+   written) keeps only written and benign runs, in one list. *)
+type apart = {
+  mutable benign : (int * int) list;  (* newest first *)
+  mutable conflicts : (int * int * kind) list;  (* newest first *)
+}
+
+let merged = { benign = []; conflicts = [] }
+
+let file p t a ~verified ~conn ~tpdu k s l =
+  if l > 0 then
+    match k with
+    | Written -> t.runs <- (s, l) :: t.runs
+    | Benign ->
+        if a == merged then t.runs <- (s, l) :: t.runs
+        else a.benign <- (s, l) :: a.benign
+    | Rejected | Held ->
+        let kind = if k = Held then Fresh_conflict else Verified_conflict in
+        if k = Held then t.held <- true;
+        if a != merged then a.conflicts <- (s, l, kind) :: a.conflicts;
+        if Obs.enabled && Obs.Trace.active () then
+          Obs.Trace.record
+            (Obs.Trace.Overlap
+               {
+                 conn;
+                 tpdu;
+                 sn = s + p.base_sn;
+                 elems = l;
+                 kind =
+                   (match kind with
+                   | Verified_conflict ->
+                       if verified then "verified-clash" else "verified-conflict"
+                   | Fresh_conflict -> "fresh-conflict");
+               })
+
 (* The first-verified-wins policy over the element run [sn, sn+len)
    whose bytes start at [src.[pos]].  [verified] marks a write made on
    behalf of a TPDU whose WSC-2 parity has already passed; such a write
@@ -101,20 +141,11 @@ type outcome = Written | Benign | Rejected | Held
    locked (verified) region that disagrees with it.
 
    Outcomes are tracked run-length: the current run is a start, a length
-   and a class, and a list cell is consed only when a run ends.  Each
+   and a class, and a run is filed ([file]) only when it ends.  Each
    maximal unoccupied stretch is written with one blit. *)
-let apply p ~sn ~len ~src ~pos ~verified ~conn ~tpdu =
+let apply p t a ~sn ~len ~src ~pos ~verified ~conn ~tpdu =
   let es = p.elem_size in
   let stop = sn + len in
-  let fresh = ref [] and benign = ref [] and conflicts = ref [] in
-  let close k s l =
-    if l > 0 then
-      match k with
-      | Written -> fresh := (s, l) :: !fresh
-      | Benign -> benign := (s, l) :: !benign
-      | Rejected -> conflicts := (s, l, Verified_conflict) :: !conflicts
-      | Held -> conflicts := (s, l, Fresh_conflict) :: !conflicts
-  in
   let run_s = ref sn and run_l = ref 0 and run_k = ref Written in
   let e = ref sn in
   while !e < stop do
@@ -163,62 +194,62 @@ let apply p ~sn ~len ~src ~pos ~verified ~conn ~tpdu =
       end
     in
     if k <> !run_k then begin
-      close !run_k !run_s !run_l;
+      file p t a ~verified ~conn ~tpdu !run_k !run_s !run_l;
       run_k := k;
       run_s := e0;
       run_l := 0
     end;
     run_l := !run_l + (!e - e0)
   done;
-  close !run_k !run_s !run_l;
+  file p t a ~verified ~conn ~tpdu !run_k !run_s !run_l;
   (* overlap-tolerant accounting: every covered element counts once,
      however the covering runs arrive; the loop left every element
      occupied, so only lock-only marks can still need counting *)
-  if p.lock_only > 0 then cover p ~sn ~len;
-  let conflicts = List.rev !conflicts in
-  if conflicts <> [] && Obs.enabled && Obs.Trace.active () then
-    List.iter
-      (fun (s, l, k) ->
-        Obs.Trace.record
-          (Obs.Trace.Overlap
-             {
-               conn;
-               tpdu;
-               sn = s + p.base_sn;
-               elems = l;
-               kind =
-                 (match k with
-                 | Verified_conflict ->
-                     if verified then "verified-clash" else "verified-conflict"
-                 | Fresh_conflict -> "fresh-conflict");
-             }))
-      conflicts;
-  {
-    rp_fresh = List.rev !fresh;
-    rp_benign = List.rev !benign;
-    rp_conflicts = conflicts;
-  }
+  if p.lock_only > 0 then cover p ~sn ~len
 
-(* The one entry point every placement goes through: [len] elements of
-   [size] bytes starting at [src.[off]], labelled [sn] at the
-   placement's level. *)
-let slice op p ~verified ~size ~sn ~conn ~tpdu src ~off ~len =
-  if size <> p.elem_size then
-    Error (Printf.sprintf "Placement.%s: element size mismatch" op)
+(* Whether the run of [len] elements of [size] bytes at [src.[off]],
+   labelled [sn] at the placement's level, can be placed, and if not,
+   why.  Every outcome is a constant, so checking allocates nothing. *)
+let slice_check p ~size ~sn src ~off ~len =
+  if size <> p.elem_size then Error "element size mismatch"
   else begin
     let sn = sn - p.base_sn in
     (* [sn > capacity - len] rather than [sn + len > capacity]: a decoded
        SN can be close to [max_int], where the addition wraps negative
        and would sail past the window check into Bytes.blit. *)
     if len < 1 || sn < 0 || len > p.capacity_elems || sn > p.capacity_elems - len
-    then Error (Printf.sprintf "Placement.%s: outside destination window" op)
+    then Error "outside destination window"
     else if off < 0 || off > Bytes.length src - (len * size) then
-      Error (Printf.sprintf "Placement.%s: source slice out of bounds" op)
-    else Ok (apply p ~sn ~len ~src ~pos:off ~verified ~conn ~tpdu)
+      Error "source slice out of bounds"
+    else Ok ()
   end
+
+(* The one entry point every report goes through. *)
+let slice op p ~verified ~size ~sn ~conn ~tpdu src ~off ~len =
+  match slice_check p ~size ~sn src ~off ~len with
+  | Ok () ->
+      let t = { runs = []; held = false }
+      and a = { benign = []; conflicts = [] } in
+      apply p t a ~sn:(sn - p.base_sn) ~len ~src ~pos:off ~verified ~conn ~tpdu;
+      Ok
+        {
+          rp_fresh = List.rev t.runs;
+          rp_benign = List.rev a.benign;
+          rp_conflicts = List.rev a.conflicts;
+        }
+  | Error msg -> Error (Printf.sprintf "Placement.%s: %s" op msg)
 
 let place_slice p ~verified ~sn ~size ~conn ~tpdu src ~off ~len =
   slice "place_slice" p ~verified ~size ~sn ~conn ~tpdu src ~off ~len
+
+let place_tally p t ~verified ~sn ~size ~conn ~tpdu src ~off ~len =
+  match slice_check p ~size ~sn src ~off ~len with
+  | Ok () ->
+      t.held <- false;
+      apply p t merged ~sn:(sn - p.base_sn) ~len ~src ~pos:off ~verified ~conn
+        ~tpdu;
+      true
+  | Error _ -> false
 
 let checked op p chunk ~verified =
   if not (Chunk.is_data chunk) then
@@ -238,6 +269,13 @@ let lock_span p ~sn ~len =
      && sn <= p.capacity_elems - len
   then begin
     Bytes.fill p.lck sn len '\001';
+    if sn <= p.lock_front then begin
+      let e = ref (sn + len) in
+      while !e < p.capacity_elems && is_locked p !e do
+        incr e
+      done;
+      if !e > p.lock_front then p.lock_front <- !e
+    end;
     (* locked implies occupied: verified bytes are content, whatever a
        snapshot restored around them.  An element no run covered gets
        its own mark, so [spans] keeps meaning the placed runs. *)
@@ -249,21 +287,30 @@ let lock_span p ~sn ~len =
     done
   end
 
-(* Maximal element runs whose placed-ness ([occ] byte 1) is [placed],
-   ascending; built back to front so no reversal is needed. *)
-let runs p ~placed =
+(* Maximal element runs of [map] whose byte is (or, unless [is], is
+   not) [byte], ascending; built back to front so no reversal is
+   needed. *)
+let runs p map byte ~is =
   let acc = ref [] and e = ref (p.capacity_elems - 1) in
   while !e >= 0 do
     let hi = !e in
-    let here = Bytes.get p.occ hi = '\001' in
-    while !e >= 0 && (Bytes.get p.occ !e = '\001') = here do
+    let here = Bytes.get map hi = byte in
+    while !e >= 0 && (Bytes.get map !e = byte) = here do
       decr e
     done;
-    if here = placed then acc := (!e + 1, hi - !e) :: !acc
+    if here = is then acc := (!e + 1, hi - !e) :: !acc
   done;
   !acc
 
-let spans p = runs p ~placed:true
+let spans p = runs p p.occ '\001' ~is:true
+let locked_spans p = runs p p.lck '\001' ~is:true
+
+let locked_frontier p ~from =
+  let e = ref (max p.lock_front from) in
+  while !e < p.capacity_elems && is_locked p !e do
+    incr e
+  done;
+  !e
 
 let restore_span p ~sn data =
   let n = Bytes.length data in
@@ -311,4 +358,4 @@ let add_overlap_stats a b =
       a.os_verified_overwrites + b.os_verified_overwrites;
   }
 
-let holes p = runs p ~placed:false
+let holes p = runs p p.occ '\001' ~is:false

@@ -111,6 +111,36 @@ val place_slice :
     an out-of-window run, or a slice that overruns [src].  [src] is only
     read during the call; nothing keeps a reference to it. *)
 
+type tally = {
+  mutable runs : (int * int) list;
+      (** written and benign runs, newest first: each {!place_tally} call
+          conses its own onto what it finds here *)
+  mutable held : bool;
+      (** the last call held a run for quarantine ({!Fresh_conflict}) *)
+}
+(** What {!place_tally} reports in place of a {!report}. *)
+
+val place_tally :
+  t ->
+  tally ->
+  verified:bool ->
+  sn:int ->
+  size:int ->
+  conn:int ->
+  tpdu:int ->
+  bytes ->
+  off:int ->
+  len:int ->
+  bool
+(** {!place_slice} for the receive path, which needs to know only which
+    runs the write covers and whether one waits in quarantine: the
+    call's {!report.rp_fresh} and {!report.rp_benign} runs (one per
+    maximal run, as there) are consed onto [tally.runs] and
+    [tally.held] says whether [rp_conflicts] would hold a
+    {!Fresh_conflict}.  Returns [false], leaving [tally] as it was,
+    where {!place_slice} returns [Error].  Allocates only the run
+    cells. *)
+
 val lock_span : t -> sn:int -> len:int -> unit
 (** Mark an element run (relative to [base_sn]) as verified: its bytes
     can never again be overwritten by conflicting data.  Out-of-window
@@ -118,6 +148,18 @@ val lock_span : t -> sn:int -> len:int -> unit
     policy treats its bytes as content; an element that no placed or
     restored run covers still stays out of {!spans} and
     {!placed_elems} until one does. *)
+
+val locked_spans : t -> (int * int) list
+(** Maximal locked element runs, ascending: the verified coverage (the
+    union of every run {!lock_span} accepted).  Computed on demand, in
+    time linear in the capacity. *)
+
+val locked_frontier : t -> from:int -> int
+(** [locked_frontier p ~from] is the first element at or after [from]
+    that is not locked: the capacity if every element from [from] on is
+    locked, [from] itself if [from] is past the last element.  The end
+    of the locked prefix is kept as runs are locked, so the walk starts
+    there when [from] is inside the prefix. *)
 
 val overlap_stats : t -> overlap_stats
 

@@ -346,6 +346,67 @@ module Scan = struct
   let payload_bytes b off =
     if is_data_chunk b off then size b off * len b off else len b off
 
+  type view = {
+    mutable code : int;
+    mutable size : int;
+    mutable len : int;
+    mutable c_id : int;
+    mutable c_sn : int;
+    mutable c_st : bool;
+    mutable t_id : int;
+    mutable t_sn : int;
+    mutable t_st : bool;
+    mutable x_id : int;
+    mutable x_sn : int;
+    mutable x_st : bool;
+  }
+
+  let view () =
+    { code = 0; size = 0; len = 0; c_id = 0; c_sn = 0; c_st = false;
+      t_id = 0; t_sn = 0; t_st = false; x_id = 0; x_sn = 0; x_st = false }
+
+  external unsafe_get64 : bytes -> int -> int64 = "%caml_bytes_get64u"
+  external swap64 : int64 -> int64 = "%bswap_int64"
+
+  (* An SN as [Int64.to_int] reads it, without boxing the [Int64]. *)
+  let sn64 b i =
+    let x = unsafe_get64 b i in
+    Int64.to_int (if Sys.big_endian then x else swap64 x)
+
+  (* The same unchecked reads as [scan_from], valid at any offset a
+     successful [packet] call recorded. *)
+  let read v b off =
+    v.code <- u8 b off;
+    v.size <- u16 b (off + 1);
+    v.len <- u32 b (off + 3);
+    v.c_id <- u32 b (off + 7);
+    v.c_sn <- sn64 b (off + 11);
+    v.c_st <- u8 b (off + 19) = 1;
+    v.t_id <- u32 b (off + 20);
+    v.t_sn <- sn64 b (off + 24);
+    v.t_st <- u8 b (off + 32) = 1;
+    v.x_id <- u32 b (off + 33);
+    v.x_sn <- sn64 b (off + 37);
+    v.x_st <- u8 b (off + 45) = 1
+
+  let read_header v (h : Header.t) =
+    let c = h.Header.c and t = h.Header.t and x = h.Header.x in
+    v.code <- Ctype.code h.Header.ctype;
+    v.size <- h.Header.size;
+    v.len <- h.Header.len;
+    v.c_id <- c.Ftuple.id;
+    v.c_sn <- c.Ftuple.sn;
+    v.c_st <- c.Ftuple.st;
+    v.t_id <- t.Ftuple.id;
+    v.t_sn <- t.Ftuple.sn;
+    v.t_st <- t.Ftuple.st;
+    v.x_id <- x.Ftuple.id;
+    v.x_sn <- x.Ftuple.sn;
+    v.x_st <- x.Ftuple.st
+
+  let view_payload_bytes v =
+    if v.len = 0 then 0 else if v.code = 0 then v.size * v.len else v.len
+
   let header b off =
     let ctype =
       match Bytes.get_uint8 b off with 0 -> Ctype.Data | k -> Ctype.Control k

@@ -172,19 +172,55 @@ module Scan : sig
       [off + header_size]. *)
 
   val header : bytes -> int -> Header.t
-  (** The header at a scanned offset, without its payload.  The receive
-      path builds this one object for a chunk that gets past its label
-      gates and reads the payload in place, from the packet.  Allocates
-      the header and its three tuples. *)
+  (** The header at a scanned offset, without its payload.  Allocates
+      the header and its three tuples; the receive path reads a
+      {!view} instead. *)
 
   val chunk : bytes -> int -> Chunk.t
   (** Materialise the chunk at a scanned offset: {!header} plus a copy
       of the payload.  Equal (by {!Chunk.equal}) to what
       {!decode_chunk} returns there.  The receive path calls it only
-      for signals, whose payload is parsed as an object; a chunk that
-      must outlive the packet in the corroboration stash is copied the
-      same way from the {!header} it already has, and everything else
-      is decided and processed in the packet. *)
+      for signals, whose payload is parsed as an object; everything
+      else is decided and processed in the packet. *)
+
+  (** {2 Label views}
+
+      The receive path reads a chunk's labels into one flat, mutable
+      record that its owner allocates once and refills for every chunk
+      (paper §2: the header alone says what to do with the chunk).
+      Whatever the owner keeps past the chunk it copies out of the view:
+      the view itself holds the next chunk's labels soon after. *)
+
+  type view = {
+    mutable code : int;  (** TYPE code ([0] = data, [1] = ED, ...) *)
+    mutable size : int;  (** SIZE *)
+    mutable len : int;  (** LEN *)
+    mutable c_id : int;
+    mutable c_sn : int;
+    mutable c_st : bool;
+    mutable t_id : int;
+    mutable t_sn : int;
+    mutable t_st : bool;
+    mutable x_id : int;
+    mutable x_sn : int;
+    mutable x_st : bool;
+  }
+  (** The header's fields as ints and bools, as {!header} would decode
+      them. *)
+
+  val view : unit -> view
+  (** A fresh view (all fields zero). *)
+
+  val read : view -> bytes -> int -> unit
+  (** [read v b off] fills [v] with the labels of the chunk scanned at
+      [off] in [b]; allocates nothing.  Unchecked, like the field
+      readers. *)
+
+  val read_header : view -> Header.t -> unit
+  (** Fill a view from a materialised header. *)
+
+  val view_payload_bytes : view -> int
+  (** {!Header.payload_bytes} of the viewed header. *)
 end
 
 (** {1 Checksummed record framing}

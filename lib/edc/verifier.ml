@@ -57,9 +57,13 @@ let unset = min_int
    from a packet or an image is always a fresh record. *)
 let no_parity = { Wsc2.p0 = Gf232.zero; p1 = Gf232.zero }
 
+(* The labels of the chunk being processed, read where they sit. *)
+type view = Wire.Scan.view
+
 type t = {
   tpdus : (int, tpdu_state) Hashtbl.t;
   now : unit -> float;
+  scratch : view;  (* [on_chunk]'s view of a materialised header *)
   mutable passed : int;
   mutable failed : int;
   mutable dups : int;
@@ -109,7 +113,8 @@ let note_verdict v s t_id verdict =
 
 let create ?now () =
   let now = match now with Some f -> f | None -> fun () -> !Obs.now in
-  { tpdus = Hashtbl.create 32; now; passed = 0; failed = 0; dups = 0; seen = 0 }
+  { tpdus = Hashtbl.create 32; now; scratch = Wire.Scan.view (); passed = 0;
+    failed = 0; dups = 0; seen = 0 }
 
 (* The state held for [t_id]; [Not_found] if none.  Lookups go through
    [Hashtbl.find] so that the per-chunk path builds no option. *)
@@ -236,43 +241,37 @@ let try_finish v t_id s =
   else []
 
 (* Returns the first on-arrival problem with this chunk, if any. *)
-let arrival_check s (h : Header.t) =
-  let size = h.Header.size in
+let arrival_check s (h : view) =
+  let size = h.size in
   match Invariant.size_error ~size with
   | Some msg -> Some (Reassembly_error msg)
   | None ->
       let spw = size / 4 in
-      let c = h.Header.c and t = h.Header.t in
       if
-        t.Ftuple.sn > Invariant.data_limit_symbols
-        || (t.Ftuple.sn + h.Header.len) * spw > Invariant.data_limit_symbols
+        h.t_sn > Invariant.data_limit_symbols
+        || (h.t_sn + h.len) * spw > Invariant.data_limit_symbols
       then
         (* a (possibly corrupted) T.SN/LEN that escapes the invariant's
            data region can never virtually reassemble *)
         Some (Reassembly_error "TPDU data outside the invariant region")
       else if s.size <> unset && s.size <> size then
         Some (Reassembly_error "SIZE changed between chunks")
-      else if c.Ftuple.st && not t.Ftuple.st then
+      else if h.c_st && not h.t_st then
         (* The C.ST bit can be set only on a TPDU boundary (§4). *)
         Some (Consistency_failure "C.ST set off a TPDU boundary")
-      else if s.c_id <> unset && s.c_id <> c.Ftuple.id then
+      else if s.c_id <> unset && s.c_id <> h.c_id then
         Some (Consistency_failure "C.ID changed between chunks")
-      else if s.delta_ct <> unset && s.delta_ct <> c.Ftuple.sn - t.Ftuple.sn
-      then Some (Consistency_failure "C.SN - T.SN changed")
-      else if
-        x_delta_conflict s h.Header.x.Ftuple.id
-          (c.Ftuple.sn - h.Header.x.Ftuple.sn)
-      then Some (Consistency_failure "C.SN - X.SN changed")
+      else if s.delta_ct <> unset && s.delta_ct <> h.c_sn - h.t_sn then
+        Some (Consistency_failure "C.SN - T.SN changed")
+      else if x_delta_conflict s h.x_id (h.c_sn - h.x_sn) then
+        Some (Consistency_failure "C.SN - X.SN changed")
       else None
 
-let commit_arrival s (h : Header.t) =
-  let c = h.Header.c in
-  if s.size = unset then s.size <- h.Header.size;
-  if s.c_id = unset then s.c_id <- c.Ftuple.id;
-  if s.delta_ct = unset then s.delta_ct <- c.Ftuple.sn - h.Header.t.Ftuple.sn;
-  let x = h.Header.x in
-  if not (has_x_delta s x.Ftuple.id) then
-    set_x_delta s x.Ftuple.id (c.Ftuple.sn - x.Ftuple.sn)
+let commit_arrival s (h : view) =
+  if s.size = unset then s.size <- h.size;
+  if s.c_id = unset then s.c_id <- h.c_id;
+  if s.delta_ct = unset then s.delta_ct <- h.c_sn - h.t_sn;
+  if not (has_x_delta s h.x_id) then set_x_delta s h.x_id (h.c_sn - h.x_sn)
 
 (* Accumulate exactly the fresh element sub-runs of a chunk's payload;
    [origin] is where element T.SN 0 would sit in the chunk's buffer.
@@ -282,14 +281,13 @@ let commit_arrival s (h : Header.t) =
    [arrival_check] already rejected any chunk whose element span
    escapes the invariant's data region, so every position is in range.
    Each fresh run is also recorded for the X-framing check. *)
-let rec accumulate_fresh s ~size ~spw buf origin (x : Ftuple.t) ~t_sn =
-  function
+let rec accumulate_fresh s (h : view) ~spw buf origin = function
   | [] -> ()
   | (sn, len) :: rest ->
-      Wsc2.add_subbytes_exn s.acc ~pos:(sn * spw) buf (origin + (sn * size))
-        (len * size);
-      s.x_spans <- (sn, len, x.Ftuple.id, x.Ftuple.sn + (sn - t_sn)) :: s.x_spans;
-      accumulate_fresh s ~size ~spw buf origin x ~t_sn rest
+      Wsc2.add_subbytes_exn s.acc ~pos:(sn * spw) buf (origin + (sn * h.size))
+        (len * h.size);
+      s.x_spans <- (sn, len, h.x_id, h.x_sn + (sn - h.t_sn)) :: s.x_spans;
+      accumulate_fresh s h ~spw buf origin rest
 
 let rec fresh_events t_id tail = function
   | [] -> tail
@@ -301,41 +299,33 @@ let rec fresh_events t_id tail = function
    refragmented retransmission can re-deliver a boundary on an
    all-duplicate chunk), and the T.ID, C.ID and C.ST symbols once, from
    the first T.ST chunk. *)
-let accumulate_labels s (h : Header.t) =
-  let t = h.Header.t and x = h.Header.x in
-  if t.Ftuple.st || x.Ftuple.st then begin
-    let boundary = t.Ftuple.sn + h.Header.len - 1 in
+let accumulate_labels s (h : view) =
+  if h.t_st || h.x_st then begin
+    let boundary = h.t_sn + h.len - 1 in
     if not (mem_int boundary s.pairs_done) then begin
       s.pairs_done <- boundary :: s.pairs_done;
       let pos = Invariant.xpair_position ~boundary_t_sn:boundary in
-      Wsc2.add_symbol s.acc ~pos (x.Ftuple.id land 0xFFFF_FFFF);
+      Wsc2.add_symbol s.acc ~pos (h.x_id land 0xFFFF_FFFF);
       Wsc2.add_symbol s.acc ~pos:(pos + 1)
-        (Encoder.xpair_second_symbol ~boundary_t_sn:boundary ~x_st:x.Ftuple.st)
+        (Encoder.xpair_second_symbol ~boundary_t_sn:boundary ~x_st:h.x_st)
     end
   end;
-  if t.Ftuple.st && not s.labels_done then begin
-    let c = h.Header.c in
+  if h.t_st && not s.labels_done then begin
     s.labels_done <- true;
-    Wsc2.add_symbol s.acc ~pos:Invariant.tid_position
-      (t.Ftuple.id land 0xFFFF_FFFF);
-    Wsc2.add_symbol s.acc ~pos:Invariant.cid_position
-      (c.Ftuple.id land 0xFFFF_FFFF);
+    Wsc2.add_symbol s.acc ~pos:Invariant.tid_position (h.t_id land 0xFFFF_FFFF);
+    Wsc2.add_symbol s.acc ~pos:Invariant.cid_position (h.c_id land 0xFFFF_FFFF);
     Wsc2.add_symbol s.acc ~pos:Invariant.cst_position
-      (if c.Ftuple.st then Gf232.one else Gf232.zero)
+      (if h.c_st then Gf232.one else Gf232.zero)
   end
 
-let on_data v (h : Header.t) buf off =
-  let t = h.Header.t in
-  let t_id = t.Ftuple.id in
+let on_data v (h : view) buf off =
+  let t_id = h.t_id in
   let s = state v t_id in
   match arrival_check s h with
   | Some verdict -> fail_now v t_id verdict
   | None -> (
       commit_arrival s h;
-      match
-        Vreassembly.insert_new s.tracker ~sn:t.Ftuple.sn ~len:h.Header.len
-          ~st:t.Ftuple.st
-      with
+      match Vreassembly.insert_new s.tracker ~sn:h.t_sn ~len:h.len ~st:h.t_st with
       | Error `Inconsistent ->
           fail_now v t_id
             (Reassembly_error "fragment beyond or contradicting the TPDU end")
@@ -345,20 +335,17 @@ let on_data v (h : Header.t) buf off =
           accumulate_labels s h;
           Duplicate_dropped { t_id } :: try_finish v t_id s
       | Ok fresh ->
-          let size = h.Header.size in
-          accumulate_fresh s ~size ~spw:(size / 4) buf
-            (off - (t.Ftuple.sn * size))
-            h.Header.x ~t_sn:t.Ftuple.sn fresh;
+          accumulate_fresh s h ~spw:(h.size / 4) buf (off - (h.t_sn * h.size))
+            fresh;
           accumulate_labels s h;
           fresh_events t_id (try_finish v t_id s) fresh)
 
-let on_ed v (h : Header.t) buf off =
-  let t_id = h.Header.t.Ftuple.id in
+let on_ed v (h : view) buf off =
+  let t_id = h.t_id in
   let s = state v t_id in
-  let c = h.Header.c in
-  if Header.payload_bytes h <> 12 then
+  if Wire.Scan.view_payload_bytes h <> 12 then
     fail_now v t_id (Reassembly_error "malformed ED chunk payload")
-  else if s.c_id <> unset && s.c_id <> c.Ftuple.id then
+  else if s.c_id <> unset && s.c_id <> h.c_id then
     fail_now v t_id (Consistency_failure "ED chunk C.ID mismatch")
   else begin
     let parity = Wsc2.parity_of_bytes buf off in
@@ -372,7 +359,7 @@ let on_ed v (h : Header.t) buf off =
          single data chunk the delta check in [arrival_check] never
          fires, so this comparison is the only consistency coverage the
          connection label gets. *)
-      let delta = c.Ftuple.sn - h.Header.t.Ftuple.sn in
+      let delta = h.c_sn - h.t_sn in
       if s.delta_ct <> unset && s.delta_ct <> delta then
         fail_now v t_id (Consistency_failure "ED chunk C.SN mismatch")
       else begin
@@ -390,8 +377,10 @@ let on_ed v (h : Header.t) buf off =
     end
   end
 
-let on_view v (h : Header.t) buf off =
-  let nbytes = Header.payload_bytes h in
+let ed_code = Ctype.code Ctype.ed
+
+let on_view v (h : view) buf off =
+  let nbytes = Wire.Scan.view_payload_bytes h in
   if off < 0 || off > Bytes.length buf - nbytes then
     invalid_arg "Verifier.on_view: payload outside the buffer";
   v.seen <- v.seen + 1;
@@ -399,12 +388,14 @@ let on_view v (h : Header.t) buf off =
     Obs.Metrics.incr m_chunks;
     Obs.Metrics.observe m_payload nbytes
   end;
-  if Header.is_terminator h then []
-  else if Ctype.is_data h.Header.ctype then on_data v h buf off
-  else if Ctype.equal h.Header.ctype Ctype.ed then on_ed v h buf off
+  if h.len = 0 then []
+  else if h.code = 0 then on_data v h buf off
+  else if h.code = ed_code then on_ed v h buf off
   else []
 
-let on_chunk v chunk = on_view v chunk.Chunk.header chunk.Chunk.payload 0
+let on_chunk v chunk =
+  Wire.Scan.read_header v.scratch chunk.Chunk.header;
+  on_view v v.scratch chunk.Chunk.payload 0
 
 let in_flight v = Hashtbl.length v.tpdus
 

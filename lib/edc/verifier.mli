@@ -48,19 +48,21 @@ val create : ?now:(unit -> float) -> unit -> t
     [Obs.now], which [Netsim.Engine] keeps stamped.  Pass an explicit
     clock when running the verifier outside a simulation. *)
 
-val on_view : t -> Labelling.Header.t -> bytes -> int -> event list
-(** [on_view v h buf off] feeds one arriving chunk whose labels are [h]
-    and whose payload is the [Labelling.Header.payload_bytes h] bytes of
-    [buf] at [off] — typically the packet it arrived in, so the payload
-    is read in place and never copied (the receive path's entry).  Data
-    and ED control chunks are processed; other control types and
-    terminators are ignored.  Never raises on malformed labels or
-    payload — damage is recorded and surfaces in the verdict.  [buf] is
-    not retained after the call returns.
+val on_view : t -> Labelling.Wire.Scan.view -> bytes -> int -> event list
+(** [on_view v h buf off] feeds one arriving chunk whose labels are
+    viewed in [h] and whose payload is the
+    [Labelling.Wire.Scan.view_payload_bytes h] bytes of [buf] at [off] —
+    typically the packet it arrived in, so neither labels nor payload
+    are copied (the receive path's entry).  Data and ED control chunks
+    are processed; other control types and terminators are ignored.
+    Never raises on malformed labels or payload — damage is recorded and
+    surfaces in the verdict.  Neither [h] nor [buf] is retained after
+    the call returns.
     @raise Invalid_argument if the payload slice is outside [buf]. *)
 
 val on_chunk : t -> Labelling.Chunk.t -> event list
-(** [on_view v c.header c.payload 0]: feed one materialised chunk. *)
+(** {!on_view} of one materialised chunk: its header read into a view
+    the verifier owns, its payload at offset 0. *)
 
 val in_flight : t -> int
 (** TPDUs with state held (arrived but not yet verified). *)

@@ -210,44 +210,47 @@ module Receiver = struct
      Disagreement is left to the verifier, which fails the TPDU so the
      identical-label retransmission starts a clean epoch.
 
-     A stash entry reads its payload where it lies: in the packet it
-     arrived in while that packet is being ingested (a view), in a copy
-     of its own after that.  [settle] makes the copy, once per chunk,
-     for every entry still stashed when the packet is done. *)
+     A stash entry reads its chunk, labels and payload, where it lies:
+     in the packet it arrived in while that packet is being ingested (a
+     view), in a header-inclusive copy of its own after that.  [settle]
+     makes the copy, once per chunk, for every entry still stashed when
+     the packet is done. *)
   type stashed = {
-    sh : Header.t;
     mutable sbuf : bytes;
-    mutable soff : int;  (* the payload's offset in [sbuf] *)
+    mutable soff : int;  (* the chunk's (header's) offset in [sbuf] *)
     st_sn : int;  (* the fresh run: first T.SN ... *)
     selems : int;  (* ... and element count *)
   }
 
-  type corroboration = {
-    mutable delta_data : int option;  (* C.SN - T.SN from data chunks *)
-    mutable delta_ed : int option;  (* C.SN - T.SN from the ED chunk *)
-    mutable confirmed : bool;
-    mutable stash : stashed list;  (* newest first *)
-    mutable placed_runs : (int * int) list;
-        (* (c_sn, elems) runs this TPDU has placed; credited to the
-           verified coverage only if the TPDU passes *)
-    mutable quarantine : (Chunk.t * int * int) list;
-        (* (sub-chunk, c_sn, elems) whose bytes conflicted with
-           unverified resident bytes (Placement's fresh-vs-fresh case):
-           re-asserted by a verified write if this TPDU passes, dropped
-           with the epoch otherwise *)
-  }
+  (* The "not yet witnessed" delta: C.SN and T.SN are non-negative
+     63-bit ints, so their difference never takes it. *)
+  let unset = min_int
 
-  (* A TPDU in flight.  Its pieces live differently: a failed epoch
-     drops [corrob] and [end_claim] (the last C.SN a C.ST bit claimed);
+  (* A TPDU in flight.  Its pieces live differently: the corroboration
+     record ([witnessed] and the fields after it) and [end_claim] (the
+     last C.SN a C.ST bit claimed) go with a failed epoch;
      [first_arrival] survives that, so latency spans the retransmission,
      but not an eviction or abort; [nack_armed] outlives all of them
      until the gap timer next fires.  An empty record leaves the
      table. *)
   type live = {
+    key : Governor.key;  (* this TPDU's account, built once *)
     mutable first_arrival : float;  (* [nan]: none *)
     mutable nack_armed : bool;
     mutable end_claim : int option;
-    mutable corrob : corroboration option;
+    mutable witnessed : bool;  (* a data or ED chunk opened the record *)
+    mutable delta_data : int;  (* C.SN - T.SN from data chunks, or [unset] *)
+    mutable delta_ed : int;  (* C.SN - T.SN from the ED chunk, or [unset] *)
+    mutable confirmed : bool;
+    mutable stash : stashed list;  (* newest first *)
+    mutable placed_runs : (int * int) list;
+        (* (c_sn, elems) runs this TPDU has placed; locked as verified
+           only if the TPDU passes *)
+    mutable quarantine : (Chunk.t * int * int) list;
+        (* (sub-chunk, c_sn, elems) whose bytes conflicted with
+           unverified resident bytes (Placement's fresh-vs-fresh case):
+           re-asserted by a verified write if this TPDU passes, dropped
+           with the epoch otherwise *)
   }
 
   (* One TPDU's state in this epoch, found by its T.ID in one lookup.
@@ -272,11 +275,6 @@ module Receiver = struct
     governor : Governor.t;
     acked : (int, unit) Hashtbl.t;  (* ACK ledger; outlives the epoch *)
     tpdus : (int, tpdu) Hashtbl.t;
-    (* element runs covered by TPDUs that passed verification — bytes a
-       failed TPDU placed before its parity caught up do not count
-       toward completeness (they will be re-placed by the
-       identical-label retransmission) *)
-    verified_cover : Vreassembly.t;
     (* element runs deliberately given up by the sender (Shed_tpdu):
        they count toward stream completion — the degradation contract —
        but never toward verified delivery *)
@@ -313,34 +311,42 @@ module Receiver = struct
        from the data labels alone, for epochs whose Open died in
        flight *)
     mutable ident_min : int;
-    scan : Wire.Scan.t;
-    (* corroboration records that stashed a view of the packet being
-       ingested; [settle] empties it *)
-    mutable views : corroboration list;
+    mutable scan : Wire.Scan.t;
+        (* [ingest]'s, made by its first call: a receiver a demultiplexer
+           feeds chunk by chunk never scans *)
+    view : Wire.Scan.view;  (* the labels of the chunk being admitted *)
+    tally : Placement.tally;  (* [Placement.place_tally]'s, between calls empty *)
+    (* TPDUs that stashed a view of the packet being ingested; [settle]
+       empties it *)
+    mutable views : live list;
   }
+
+  let no_scan = Wire.Scan.create ()
 
   let gov_key rx t_id = { Governor.conn = rx.config.conn_id; tpdu = t_id }
 
   let add_live rx t_id =
     let l =
-      { first_arrival = nan; nack_armed = false; end_claim = None;
-        corrob = None }
+      { key = gov_key rx t_id; first_arrival = nan; nack_armed = false;
+        end_claim = None; witnessed = false; delta_data = unset;
+        delta_ed = unset; confirmed = false; stash = []; placed_runs = [];
+        quarantine = [] }
     in
     Hashtbl.replace rx.tpdus t_id (Live l);
     l
 
   (* [l], the record of [t_id], leaves the table once it holds nothing. *)
   let retire rx t_id l =
-    match l with
-    | { corrob = None; end_claim = None; nack_armed = false; first_arrival }
-      when Float.is_nan first_arrival ->
-        Hashtbl.remove rx.tpdus t_id
-    | _ -> ()
+    if
+      (not l.witnessed) && l.end_claim = None && (not l.nack_armed)
+      && Float.is_nan l.first_arrival
+    then Hashtbl.remove rx.tpdus t_id
 
-  let corroboration rx t_id =
-    match Hashtbl.find_opt rx.tpdus t_id with
-    | Some (Live l) -> l.corrob
-    | Some (Acked _ | Shed _) | None -> None
+  let witnessed rx t_id =
+    match Hashtbl.find rx.tpdus t_id with
+    | Live l -> l.witnessed
+    | Acked _ | Shed _ -> false
+    | exception Not_found -> false
 
   (* The placed bytes of element runs [(c_sn, elems)], as [(c_sn, bytes)]
      copies; runs outside the buffer are skipped. *)
@@ -358,8 +364,13 @@ module Receiver = struct
   (* Forget [l]'s corroboration record, stash included, so that no view
      of it is copied when the packet is settled. *)
   let drop_corrob l =
-    (match l.corrob with Some m -> m.stash <- [] | None -> ());
-    l.corrob <- None
+    l.witnessed <- false;
+    l.delta_data <- unset;
+    l.delta_ed <- unset;
+    l.confirmed <- false;
+    l.stash <- [];
+    l.placed_runs <- [];
+    l.quarantine <- []
 
   (* TPDUs holding verifier or corroboration state. *)
   let tracked_ids rx =
@@ -367,7 +378,7 @@ module Receiver = struct
       (Edc.Verifier.in_flight_ids rx.verifier
       @ Hashtbl.fold
           (fun k e acc ->
-            match e with Live { corrob = Some _; _ } -> k :: acc | _ -> acc)
+            match e with Live { witnessed = true; _ } -> k :: acc | _ -> acc)
           rx.tpdus [])
 
   (* Dispose of every piece of per-TPDU soft state but the gap timer's
@@ -376,13 +387,14 @@ module Receiver = struct
      callback has already been debited, the abort path has not. *)
   let drop_tpdu_state rx t_id =
     ignore (Edc.Verifier.abandon rx.verifier ~t_id);
-    match Hashtbl.find_opt rx.tpdus t_id with
-    | Some (Live l) ->
+    match Hashtbl.find rx.tpdus t_id with
+    | Live l ->
         drop_corrob l;
         l.end_claim <- None;
         l.first_arrival <- nan;
         retire rx t_id l
-    | Some (Acked _ | Shed _) | None -> ()
+    | Acked _ | Shed _ -> ()
+    | exception Not_found -> ()
 
   let evict rx ~t_id =
     drop_tpdu_state rx t_id;
@@ -416,7 +428,6 @@ module Receiver = struct
         governor;
         acked = (match acked with Some t -> t | None -> Hashtbl.create 32);
         tpdus = Hashtbl.create 32;
-        verified_cover = Vreassembly.create ();
         shed_cover = Vreassembly.create ();
         end_confirmed = None;
         instant_runs = 0;
@@ -431,7 +442,9 @@ module Receiver = struct
         persist;
         restored_passes = 0;
         ident_min = max_int;
-        scan = Wire.Scan.create ();
+        scan = no_scan;
+        view = Wire.Scan.view ();
+        tally = { Placement.runs = []; held = false };
         views = [];
       }
     in
@@ -440,67 +453,61 @@ module Receiver = struct
           if key.Governor.tpdu >= 0 then evict rx ~t_id:key.Governor.tpdu);
     rx
 
-  (* Place the fresh sub-run [t_sn, t_sn+elems) of the chunk labelled
-     [h], whose payload sits in [buf] at [poff], straight into the
-     application buffer — spatial reordering, one pass, no intermediate
-     copy.  Only a run that must wait in quarantine is copied out, into
-     a sub-chunk of its own. *)
-  let place_fresh rx m (h : Header.t) buf poff ~t_sn ~elems =
-    let off_elems = t_sn - h.Header.t.Ftuple.sn in
-    let size = h.Header.size in
-    let c_sn = h.Header.c.Ftuple.sn + off_elems in
-    let t_id = h.Header.t.Ftuple.id in
-    let off = poff + (off_elems * size) and nbytes = elems * size in
+  (* Place the fresh sub-run [t_sn, t_sn+elems) of the chunk at [hoff]
+     in [b] (header first, then payload) straight into the application
+     buffer — spatial reordering, one pass, no intermediate copy.  The
+     runs it covers are credited to [l]; only a run that must wait in
+     quarantine is copied out, into a sub-chunk of its own. *)
+  let place_fresh rx l b hoff ~t_sn ~elems =
+    let size = Wire.Scan.size b hoff in
+    let off_elems = t_sn - Wire.Scan.t_sn b hoff in
+    let c_sn = Wire.Scan.c_sn b hoff + off_elems in
+    let t_id = Wire.Scan.t_id b hoff in
+    let off = hoff + Wire.header_size + (off_elems * size)
+    and nbytes = elems * size in
     (* One combined pass: read while computing, write to the final
        location. *)
     Busmodel.mem_to_cpu rx.bus nbytes;
     Busmodel.cpu_to_mem rx.bus nbytes;
-    match
-      Placement.place_slice rx.placement ~verified:false ~sn:c_sn ~size
-        ~conn:h.Header.c.Ftuple.id ~tpdu:t_id buf ~off ~len:elems
-    with
-    | Ok rep ->
-        (* only bytes this TPDU actually covers (fresh writes and
-           identical duplicates) are credited; conflicting runs either
-           lost to a verified owner (discarded by placement) or wait in
-           quarantine for this TPDU's parity *)
-        m.placed_runs <-
-          rep.Placement.rp_fresh @ rep.Placement.rp_benign @ m.placed_runs;
-        (if
-           List.exists
-             (fun (_, _, k) -> k = Placement.Fresh_conflict)
-             rep.Placement.rp_conflicts
-         then
-           match
-             Chunk.data ~size
-               ~c:(Ftuple.v ~id:h.Header.c.Ftuple.id ~sn:c_sn ())
-               ~t:(Ftuple.v ~id:t_id ~sn:t_sn ())
-               ~x:h.Header.x
-               (Bytes.sub buf off nbytes)
-           with
-           | Ok sub -> m.quarantine <- (sub, c_sn, elems) :: m.quarantine
-           | Error _ -> ());
-        rx.instant_runs <- rx.instant_runs + 1
-    | Error _ -> ()
+    let t = rx.tally in
+    t.Placement.runs <- l.placed_runs;
+    let placed =
+      Placement.place_tally rx.placement t ~verified:false ~sn:c_sn ~size
+        ~conn:(Wire.Scan.c_id b hoff) ~tpdu:t_id b ~off ~len:elems
+    in
+    (* only bytes this TPDU actually covers (fresh writes and identical
+       duplicates) are credited; conflicting runs either lost to a
+       verified owner (discarded by placement) or wait in quarantine
+       for this TPDU's parity *)
+    l.placed_runs <- t.Placement.runs;
+    t.Placement.runs <- [];
+    if placed then begin
+      (if t.Placement.held then
+         match
+           Chunk.data ~size
+             ~c:(Ftuple.v ~id:(Wire.Scan.c_id b hoff) ~sn:c_sn ())
+             ~t:(Ftuple.v ~id:t_id ~sn:t_sn ())
+             ~x:
+               (Ftuple.v ~st:(Wire.Scan.x_st b hoff) ~id:(Wire.Scan.x_id b hoff)
+                  ~sn:(Wire.Scan.x_sn b hoff) ())
+             (Bytes.sub b off nbytes)
+         with
+         | Ok sub -> l.quarantine <- (sub, c_sn, elems) :: l.quarantine
+         | Error _ -> ());
+      rx.instant_runs <- rx.instant_runs + 1
+    end
 
-  let corrob_of l =
-    match l.corrob with
-    | Some m -> m
-    | None ->
-        let m =
-          { delta_data = None; delta_ed = None; confirmed = false;
-            stash = []; placed_runs = []; quarantine = [] }
-        in
-        l.corrob <- Some m;
-        m
+  let rec place_stashed rx l = function
+    | [] -> ()
+    | e :: rest ->
+        place_fresh rx l e.sbuf e.soff ~t_sn:e.st_sn ~elems:e.selems;
+        place_stashed rx l rest
 
-  let flush_stash rx m =
-    let pending = List.rev m.stash in
-    m.stash <- [];
-    (match rx.views with m' :: rest when m' == m -> rx.views <- rest | _ -> ());
-    List.iter
-      (fun e -> place_fresh rx m e.sh e.sbuf e.soff ~t_sn:e.st_sn ~elems:e.selems)
-      pending
+  let flush_stash rx l =
+    let pending = List.rev l.stash in
+    l.stash <- [];
+    (match rx.views with l' :: rest when l' == l -> rx.views <- rest | _ -> ());
+    place_stashed rx l pending
 
   (* Copy the entries of [stash] that still view packet [b], one copy
      per chunk: a chunk's entries are adjacent and share its offset. *)
@@ -510,7 +517,9 @@ module Receiver = struct
         if e.sbuf == b then begin
           let copy =
             if e.soff = prev_off then prev_copy
-            else Bytes.sub b e.soff (Header.payload_bytes e.sh)
+            else
+              Bytes.sub b e.soff
+                (Wire.header_size + Wire.Scan.payload_bytes b e.soff)
           in
           let off = e.soff in
           e.sbuf <- copy;
@@ -524,30 +533,31 @@ module Receiver = struct
     | [] -> ()
     | views ->
         rx.views <- [];
-        List.iter (fun m -> copy_views b (-1) Bytes.empty m.stash) views
+        List.iter (fun l -> copy_views b (-1) Bytes.empty l.stash) views
 
   let holds_views rx = rx.views <> []
+
+  let ed_code = Ctype.code Ctype.ed
 
   (* Note the chunk's connection delta before the verifier sees it, so
      that an ED chunk flushes the stash before the [Tpdu_verified] event
      it may trigger.  First witness wins within an epoch: a conflicting
      later chunk fails the TPDU in the verifier, which clears the
      epoch's state here too. *)
-  let witness rx l (h : Header.t) =
-    let is_ed = Ctype.equal h.Header.ctype Ctype.ed in
-    if Ctype.is_data h.Header.ctype || is_ed then begin
-      let m = corrob_of l in
-      if not m.confirmed then begin
-        let delta = h.Header.c.Ftuple.sn - h.Header.t.Ftuple.sn in
+  let witness rx l (h : Wire.Scan.view) =
+    let is_ed = h.code = ed_code in
+    if h.code = 0 || is_ed then begin
+      l.witnessed <- true;
+      if not l.confirmed then begin
+        let delta = h.c_sn - h.t_sn in
         if is_ed then begin
-          if m.delta_ed = None then m.delta_ed <- Some delta
+          if l.delta_ed = unset then l.delta_ed <- delta
         end
-        else if m.delta_data = None then m.delta_data <- Some delta;
-        match (m.delta_data, m.delta_ed) with
-        | Some a, Some b when a = b ->
-            m.confirmed <- true;
-            flush_stash rx m
-        | _ -> ()
+        else if l.delta_data = unset then l.delta_data <- delta;
+        if l.delta_data <> unset && l.delta_data = l.delta_ed then begin
+          l.confirmed <- true;
+          flush_stash rx l
+        end
       end
     end
 
@@ -580,44 +590,41 @@ module Receiver = struct
             end;
             arm_nack rx t_id (rounds + 1))
 
-  (* Re-assert the accounted cost of one TPDU's soft state ([corrob] is
-     its corroboration record, if any) and refresh its delta-t deadline.
-     Called after every chunk that touched the TPDU; once verification
-     has released everything the entry is retired instead. *)
-  let account rx t_id corrob =
+  let stashed_bytes acc e = acc + Wire.Scan.payload_bytes e.sbuf e.soff + 48
+  let quarantined_bytes acc (c, _, _) = acc + Bytes.length c.Chunk.payload + 48
+
+  (* What [l]'s corroboration record holds, as charged to the governor. *)
+  let held_bytes l =
+    List.fold_left quarantined_bytes
+      (List.fold_left stashed_bytes (16 * List.length l.placed_runs) l.stash)
+      l.quarantine
+
+  (* Re-assert the accounted cost of one TPDU's soft state ([held] is
+     what its corroboration record holds) under its governor [key] and
+     refresh its delta-t deadline.  Called after every chunk that
+     touched the TPDU; once verification has released everything the
+     entry is retired instead. *)
+  let charge rx t_id key held =
     let fp = Edc.Verifier.footprint_bytes rx.verifier ~t_id in
-    let stash =
-      match corrob with
-      | None -> 0
-      | Some m ->
-          let held acc e = acc + Header.payload_bytes e.sh + 48 in
-          let quarantined acc (c, _, _) =
-            acc + Bytes.length c.Chunk.payload + 48
-          in
-          List.fold_left quarantined
-            (List.fold_left held (16 * List.length m.placed_runs) m.stash)
-            m.quarantine
-    in
-    if fp = 0 && stash = 0 then
-      Governor.remove rx.governor ~key:(gov_key rx t_id)
+    if fp = 0 && held = 0 then Governor.remove rx.governor ~key
     else begin
       (* sheddable state is charged at its significance rank so budget
          pressure displaces it before any fully-reliable TPDU's state *)
-      Governor.touch rx.governor
+      Governor.touch_class rx.governor
         ~cls:(Significance.rank (rx.config.classify t_id))
-        ~key:(gov_key rx t_id)
-        ~bytes:(fp + stash + 64)
+        ~key ~bytes:(fp + held + 64)
         ~now:(Netsim.Engine.now rx.engine);
       Governor.arm rx.governor rx.engine
     end
+
+  let account rx t_id l = charge rx t_id l.key (held_bytes l)
 
   (* Whether this receiver holds a verifier accumulator or corroboration
      record for [t_id] (an armed gap timer alone does not count): the
      demultiplexer tells a chunk of an in-flight TPDU from traffic with
      a label this epoch has never seen by it. *)
   let tracks_tpdu rx ~t_id =
-    Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0
-    || Option.is_some (corroboration rx t_id)
+    Edc.Verifier.footprint_bytes rx.verifier ~t_id > 0 || witnessed rx t_id
 
   (* A sender that abandoned a TPDU says so (give-up is signalled, not
      silent): release the partial state instead of waiting for the
@@ -631,10 +638,11 @@ module Receiver = struct
 
   let send_reack rx t_id =
     let now = Netsim.Engine.now rx.engine in
-    (match Hashtbl.find_opt rx.tpdus t_id with
-    | Some (Acked r) -> r.last_reack <- now
-    | Some (Shed r) -> r.last_reack <- now
-    | Some (Live _) | None ->
+    (match Hashtbl.find rx.tpdus t_id with
+    | Acked r -> r.last_reack <- now
+    | Shed r -> r.last_reack <- now
+    | Live _ -> Hashtbl.replace rx.tpdus t_id (Acked { last_reack = now })
+    | exception Not_found ->
         Hashtbl.replace rx.tpdus t_id (Acked { last_reack = now }));
     rx.reacks_sent <- rx.reacks_sent + 1;
     if Obs.enabled then Obs.Metrics.incr m_reacks;
@@ -646,11 +654,12 @@ module Receiver = struct
      to a wall until it gives up.  Throttled per TPDU so a duplication
      storm does not become an ACK storm. *)
   let re_ack rx t_id =
-    match Hashtbl.find_opt rx.tpdus t_id with
-    | Some (Acked { last_reack } | Shed { last_reack })
+    match Hashtbl.find rx.tpdus t_id with
+    | Acked { last_reack } | Shed { last_reack }
       when Netsim.Engine.now rx.engine -. last_reack < rx.config.nack_delay ->
         ()
-    | Some _ | None -> send_reack rx t_id
+    | Acked _ | Shed _ | Live _ -> send_reack rx t_id
+    | exception Not_found -> send_reack rx t_id
 
   (* The sender deliberately abandoned a sheddable TPDU (partial
      reliability).  Honoured only when this receiver's own classifier
@@ -727,44 +736,49 @@ module Receiver = struct
         shed_tpdu rx ~t_id ~first_elem ~elems
     | Ok _ | Error _ -> ()
 
+  (* Re-assert each quarantined run of a passed TPDU with a verified
+     write, crediting what it covers to [t]. *)
+  let rec place_quarantined rx t = function
+    | [] -> ()
+    | ((sub : Chunk.t), _, _) :: rest ->
+        let h = sub.Chunk.header in
+        ignore
+          (Placement.place_tally rx.placement t ~verified:true
+             ~sn:h.Header.c.Ftuple.sn ~size:h.Header.size
+             ~conn:h.Header.c.Ftuple.id ~tpdu:h.Header.t.Ftuple.id
+             sub.Chunk.payload ~off:0 ~len:h.Header.len
+            : bool);
+        place_quarantined rx t rest
+
+  let rec lock_runs p = function
+    | [] -> ()
+    | (sn, len) :: rest ->
+        Placement.lock_span p ~sn ~len;
+        lock_runs p rest
+
   (* TPDU [t_id], in flight as [l], passed: place what it still holds,
      settle its quarantine, lock its bytes and acknowledge it (once per
-     T.ID).  From here on the ledger speaks for it. *)
+     T.ID).  The placement's lock map is the verified coverage.  From
+     here on the ledger speaks for it. *)
   let tpdu_passed rx t_id l =
     (* a passed parity covers every stashed run, so any still-unconfirmed
        stash is safe to place now *)
-    let placed_runs =
-      match l.corrob with
-      | Some m ->
-          flush_stash rx m;
-          (* the parity settles this TPDU's quarantined conflicts:
-             re-assert each held run with a verified write, which
-             reclaims bytes from any unverified squatter but never from
-             a locked region *)
-          List.iter
-            (fun (sub, _, _) ->
-              match Placement.place_verified rx.placement sub with
-              | Ok rep ->
-                  m.placed_runs <-
-                    rep.Placement.rp_fresh
-                    @ rep.Placement.rp_benign @ m.placed_runs
-              | Error _ -> ())
-            (List.rev m.quarantine);
-          m.quarantine <- [];
-          List.iter
-            (fun (sn, len) ->
-              (match
-                 Vreassembly.insert_new rx.verified_cover ~sn ~len ~st:false
-               with
-              | Ok _ | Error `Inconsistent -> ());
-              (* the verified bytes can never again be clobbered by
-                 conflicting data *)
-              Placement.lock_span rx.placement ~sn ~len)
-            m.placed_runs;
-          m.placed_runs
-      | None -> []
-    in
-    l.corrob <- None;
+    flush_stash rx l;
+    (* the parity settles this TPDU's quarantined conflicts: re-assert
+       each held run with a verified write, which reclaims bytes from
+       any unverified squatter but never from a locked region *)
+    if l.quarantine <> [] then begin
+      let t = rx.tally in
+      t.Placement.runs <- l.placed_runs;
+      place_quarantined rx t (List.rev l.quarantine);
+      l.placed_runs <- t.Placement.runs;
+      t.Placement.runs <- []
+    end;
+    (* the verified bytes can never again be clobbered by conflicting
+       data *)
+    lock_runs rx.placement l.placed_runs;
+    let placed_runs = l.placed_runs in
+    drop_corrob l;
     (match l.end_claim with Some _ as e -> rx.end_confirmed <- e | None -> ());
     Hashtbl.remove rx.tpdus t_id;
     if not (Hashtbl.mem rx.acked t_id) then begin
@@ -793,35 +807,33 @@ module Receiver = struct
       rx.send_ack (ack_packet ~conn_id:rx.config.conn_id ~t_id)
     end
 
-  (* Dispatch the verifier's events for one chunk of the TPDU in flight
-     as [l] (every event names the chunk's own T.ID).  The chunk is
-     labelled [h] and its payload read in place, in [buf] at [poff]; a
-     fresh run that has to wait for corroboration is stashed as a view
-     of [buf], which [settle] copies if it is still stashed when the
-     packet is done. *)
-  let rec handle_events rx l (h : Header.t) buf poff = function
+  (* Dispatch the verifier's events for the chunk at [off] in [b] (header
+     first, then payload), of the TPDU in flight as [l] (every event
+     names the chunk's own T.ID).  A fresh run that has to wait for
+     corroboration is stashed as a view of [b], which [settle] copies if
+     it is still stashed when the packet is done. *)
+  let rec handle_events rx l b off = function
     | [] -> ()
     | ev :: rest -> (
         match ev with
         | Edc.Verifier.Fresh_data { t_id = _; t_sn; elems } ->
-            let m = corrob_of l in
-            if m.confirmed then place_fresh rx m h buf poff ~t_sn ~elems
+            if l.confirmed then place_fresh rx l b off ~t_sn ~elems
             else begin
-              m.stash <-
-                { sh = h; sbuf = buf; soff = poff; st_sn = t_sn; selems = elems }
-                :: m.stash;
-              if not (List.memq m rx.views) then rx.views <- m :: rx.views
+              l.stash <-
+                { sbuf = b; soff = off; st_sn = t_sn; selems = elems }
+                :: l.stash;
+              if not (List.memq l rx.views) then rx.views <- l :: rx.views
             end;
-            handle_events rx l h buf poff rest
+            handle_events rx l b off rest
         | Edc.Verifier.Tpdu_verified { t_id; verdict = Edc.Verifier.Passed } ->
             tpdu_passed rx t_id l;
-            handle_events rx l h buf poff rest
+            handle_events rx l b off rest
         | Edc.Verifier.Tpdu_verified { t_id = _; verdict = _ } ->
             (* failed epoch: its stash and end claim go with it *)
             drop_corrob l;
             l.end_claim <- None;
-            handle_events rx l h buf poff rest
-        | Edc.Verifier.Duplicate_dropped _ -> handle_events rx l h buf poff rest)
+            handle_events rx l b off rest
+        | Edc.Verifier.Duplicate_dropped _ -> handle_events rx l b off rest)
 
   let trace_rx rx b off t_id =
     if Obs.enabled && Obs.Trace.active () then
@@ -833,27 +845,27 @@ module Receiver = struct
 
   (* A chunk of TPDU [t_id], in flight as [l], scanned at [off] in [b]:
      note its arrival, C.ST claim and gap timer, witness its delta, then
-     verify, place and account.  Its header is built once; its payload
-     stays in the packet. *)
+     verify, place and account.  Its labels are read into the receiver's
+     view and its payload stays in the packet. *)
   let admit rx t_id l b off =
-    let h = Wire.Scan.header b off in
-    if Ctype.is_data h.Header.ctype then begin
+    let h = rx.view in
+    Wire.Scan.read h b off;
+    if h.code = 0 then begin
       if Float.is_nan l.first_arrival then
         l.first_arrival <- Netsim.Engine.now rx.engine;
       (* the C.ST bit claims the connection's final element; the claim
          is trusted only once this TPDU verifies *)
-      if h.Header.c.Ftuple.st then
-        l.end_claim <- Some (h.Header.c.Ftuple.sn + h.Header.len - 1);
+      if h.c_st then l.end_claim <- Some (h.c_sn + h.len - 1);
       if rx.config.sack && not l.nack_armed then begin
         l.nack_armed <- true;
         arm_nack rx t_id 0
       end
     end;
     witness rx l h;
-    let poff = off + Wire.header_size in
-    handle_events rx l h b poff (Edc.Verifier.on_view rx.verifier h b poff);
+    handle_events rx l b off
+      (Edc.Verifier.on_view rx.verifier h b (off + Wire.header_size));
     retire rx t_id l;
-    account rx t_id l.corrob
+    account rx t_id l
 
   (* One scanned chunk.  The gates decide from the labels where they sit
      in the packet (paper §2: the header alone says what to do with a
@@ -872,18 +884,20 @@ module Receiver = struct
          complete), but it is re-acknowledged *)
       if Hashtbl.mem rx.acked t_id then re_ack rx t_id
       else
-        match Hashtbl.find_opt rx.tpdus t_id with
-        | Some (Shed _) ->
+        match Hashtbl.find rx.tpdus t_id with
+        | Shed _ ->
             (* a shed TPDU is gone for good: its straggler chunks must
                not recreate verifier state the sender will never
                complete *)
             ()
-        | Some (Live l) -> admit rx t_id l b off
-        | Some (Acked _) | None -> admit rx t_id (add_live rx t_id) b off
+        | Live l -> admit rx t_id l b off
+        | Acked _ -> admit rx t_id (add_live rx t_id) b off
+        | exception Not_found -> admit rx t_id (add_live rx t_id) b off
     end
 
   let ingest rx b =
     Busmodel.nic_to_mem rx.bus (Bytes.length b);
+    if rx.scan == no_scan then rx.scan <- Wire.Scan.create ();
     if Wire.Scan.packet rx.scan b then
       match
         for i = 0 to Wire.Scan.count rx.scan - 1 do
@@ -901,15 +915,21 @@ module Receiver = struct
   let stream_end_elems rx =
     Option.map (fun last -> last + 1) rx.end_confirmed
 
-  (* First element not covered by a verified or deliberately-shed run:
-     sorted-span walk over the merged coverage.  A shed span counts
-     toward stream {e completion} (the degradation contract says those
-     bytes may be missing) but never toward verified delivery. *)
+  (* First element not covered by a verified (locked) or
+     deliberately-shed run: the lock map's prefix, carried across each
+     shed run that reaches it.  A shed span counts toward stream
+     {e completion} (the degradation contract says those bytes may be
+     missing) but never toward verified delivery. *)
   let covered_frontier rx =
-    Persist.verified_frontier
-      (List.sort compare
-         (Vreassembly.spans rx.verified_cover
-         @ Vreassembly.spans rx.shed_cover))
+    let rec go f = function
+      | (s, l) :: rest when s + l <= f -> go f rest
+      | (s, l) :: rest when s <= f ->
+          go (Placement.locked_frontier rx.placement ~from:(s + l)) rest
+      | _ -> f
+    in
+    go
+      (Placement.locked_frontier rx.placement ~from:0)
+      (Vreassembly.spans rx.shed_cover)
 
   let complete rx =
     match rx.capacity with
@@ -961,7 +981,7 @@ module Receiver = struct
     Hashtbl.fold
       (fun _ e acc ->
         match e with
-        | Live { corrob = Some { stash = _ :: _; _ }; _ } -> acc + 1
+        | Live { stash = _ :: _; _ } -> acc + 1
         | _ -> acc)
       rx.tpdus 0
 
@@ -987,26 +1007,29 @@ module Receiver = struct
   let export rx : Persist.receiver_image =
     let ri_corrob =
       image_of rx (fun t_id -> function
-        | Live { corrob = Some m; _ } ->
+        | Live ({ witnessed = true; _ } as l) ->
             let pi_stash =
               List.rev_map
                 (fun e ->
-                  (* the image of [Wire.encode_packet] for the one chunk *)
-                  let n = Header.payload_bytes e.sh in
+                  (* the image of [Wire.encode_packet] for the one chunk,
+                     its header written as it decodes *)
+                  let n = Wire.Scan.payload_bytes e.sbuf e.soff in
                   let b = Bytes.create (Wire.header_size + n) in
-                  Wire.write_header b 0 e.sh;
-                  Bytes.blit e.sbuf e.soff b Wire.header_size n;
+                  Wire.write_header b 0 (Wire.Scan.header e.sbuf e.soff);
+                  Bytes.blit e.sbuf (e.soff + Wire.header_size) b
+                    Wire.header_size n;
                   (b, e.st_sn, e.selems))
-                m.stash
+                l.stash
             in
+            let opt d = if d = unset then None else Some d in
             Some
               {
                 Persist.pi_t_id = t_id;
-                pi_delta_data = m.delta_data;
-                pi_delta_ed = m.delta_ed;
-                pi_confirmed = m.confirmed;
+                pi_delta_data = opt l.delta_data;
+                pi_delta_ed = opt l.delta_ed;
+                pi_confirmed = l.confirmed;
                 pi_stash;
-                pi_placed_runs = List.sort compare m.placed_runs;
+                pi_placed_runs = List.sort compare l.placed_runs;
               }
         | Live _ | Acked _ | Shed _ -> None)
       |> List.map snd
@@ -1014,7 +1037,7 @@ module Receiver = struct
     {
       Persist.ri_conn = rx.config.conn_id;
       ri_placed = copy_runs rx (Placement.spans rx.placement);
-      ri_verified = Vreassembly.spans rx.verified_cover;
+      ri_verified = Placement.locked_spans rx.placement;
       ri_end_confirmed = rx.end_confirmed;
       ri_end_claims =
         image_of rx (fun _ -> function
@@ -1049,14 +1072,13 @@ module Receiver = struct
         match Placement.restore_span rx.placement ~sn b with
         | Ok () | Error _ -> ())
       img.Persist.ri_placed;
-    List.iter
-      (fun (sn, len) ->
-        (match Vreassembly.insert_new rx.verified_cover ~sn ~len ~st:false with
-        | Ok _ | Error `Inconsistent -> ());
-        (* restored runs come back unlocked; re-assert verified
-           ownership so the overlap policy survives the crash *)
-        Placement.lock_span rx.placement ~sn ~len)
-      img.Persist.ri_verified;
+    (* restored runs come back unlocked; re-assert verified ownership so
+       the overlap policy survives the crash.  The lock map is the
+       verified coverage, so a span outside the placement window (which
+       only a damaged or foreign image can hold) is dropped whole: it
+       covers no byte this receiver could deliver, and must not count
+       toward completeness. *)
+    lock_runs rx.placement img.Persist.ri_verified;
     rx.end_confirmed <- img.Persist.ri_end_confirmed;
     List.iter
       (fun (t, at) -> Hashtbl.replace rx.tpdus t (Acked { last_reack = at }))
@@ -1066,6 +1088,7 @@ module Receiver = struct
       | Some (Live l) -> l
       | Some (Acked _ | Shed _) | None -> add_live rx t_id
     in
+    let cell = function Some d -> d | None -> unset in
     List.iter
       (fun (t, last) -> (live t).end_claim <- Some last)
       img.Persist.ri_end_claims;
@@ -1075,33 +1098,34 @@ module Receiver = struct
         let stash =
           List.filter_map
             (fun (b, t_sn, elems) ->
+              (* the image is one chunk's packet: its first chunk sits
+                 at offset 0 *)
               match Wire.decode_packet b with
-              | Ok (c :: _) ->
-                  Some
-                    { sh = c.Chunk.header; sbuf = c.Chunk.payload; soff = 0;
-                      st_sn = t_sn; selems = elems }
+              | Ok (_ :: _) ->
+                  Some { sbuf = b; soff = 0; st_sn = t_sn; selems = elems }
               | Ok [] | Error _ -> None)
             pi.Persist.pi_stash
           |> List.rev
         in
-        (live pi.Persist.pi_t_id).corrob <-
-          Some
-            {
-              delta_data = pi.Persist.pi_delta_data;
-              delta_ed = pi.Persist.pi_delta_ed;
-              confirmed = pi.Persist.pi_confirmed;
-              stash;
-              placed_runs = pi.Persist.pi_placed_runs;
-              (* quarantined conflicts are not persisted: dropping them
-                 degrades to missing data that retransmission repairs *)
-              quarantine = [];
-            })
+        let l = live pi.Persist.pi_t_id in
+        drop_corrob l;
+        l.witnessed <- true;
+        l.delta_data <- cell pi.Persist.pi_delta_data;
+        l.delta_ed <- cell pi.Persist.pi_delta_ed;
+        l.confirmed <- pi.Persist.pi_confirmed;
+        l.stash <- stash;
+        l.placed_runs <- pi.Persist.pi_placed_runs
+        (* quarantined conflicts are not persisted: dropping them
+           degrades to missing data that retransmission repairs *))
       img.Persist.ri_corrob;
     List.iter (fun t -> Hashtbl.replace rx.acked t ()) acked_tids;
     (* re-derive what the restored soft state costs and account it; the
        governor, not the image, decides whether it still fits *)
     List.iter
-      (fun t_id -> account rx t_id (corroboration rx t_id))
+      (fun t_id ->
+        match Hashtbl.find_opt rx.tpdus t_id with
+        | Some (Live l) -> account rx t_id l
+        | Some (Acked _ | Shed _) | None -> charge rx t_id (gov_key rx t_id) 0)
       (tracked_ids rx);
     rx
 

@@ -232,10 +232,11 @@ module Receiver : sig
       and T.ID in the packet: the ACK ledger first, then one lookup in
       the receiver's per-TPDU table, so a re-offer of an acknowledged
       TPDU is re-ACKed and a straggler of a shed one dropped with
-      nothing built for the chunk; a chunk past them gets one
-      [Labelling.Header.t].  Fresh data that must wait for
-      corroboration is stashed as a view of [b]: the caller must
-      {!settle} [b] before it reuses or releases it. *)
+      nothing built for the chunk; a chunk past them has its labels
+      read into the receiver's one {!Labelling.Wire.Scan.view}.  Fresh
+      data that must wait for corroboration is stashed as a view of
+      [b]: the caller must {!settle} [b] before it reuses or releases
+      it. *)
 
   val holds_views : t -> bool
   (** Whether a chunk since the last {!settle} stashed a view of its

@@ -16,6 +16,7 @@
 type 'a t = {
   slots : int;  (* 0 = capacity-0 reference mode: stores nothing *)
   mask : int;
+  shift : int;  (* 63 - log2 of the table size (at least 1) *)
   k1s : int array;
   k2s : int array;
   vals : 'a option array;
@@ -44,6 +45,7 @@ type stats = {
 }
 
 let rec pow2_at_least n k = if k >= n then k else pow2_at_least n (k * 2)
+let rec log2 n = if n <= 1 then 0 else 1 + log2 (n / 2)
 
 (* A capacity-0 cache keeps one sentinel slot that [insert] never
    writes, so [find] and [invalidate] need no branch of their own: no
@@ -57,6 +59,7 @@ let create ~name ~slots () =
   {
     slots = (if slots = 0 then 0 else n);
     mask = n - 1;
+    shift = 63 - max 1 (log2 n);
     k1s = Array.make n (-1);
     k2s = Array.make n (-1);
     vals = Array.make n None;
@@ -75,13 +78,18 @@ let create ~name ~slots () =
 
 let slots c = c.slots
 
-(* Fibonacci-style multiplicative mix of the two keys; the keys are
-   wire-supplied 32-bit IDs, so an attacker controls them — the mix only
-   has to spread benign traffic, hostile traffic degenerates to slow
-   path, never to wrong answers. *)
+(* Fibonacci hashing: the key pair folded into one word, multiplied by
+   2^63 / golden ratio, and the slot taken from the {e high} bits of
+   the product — every key bit reaches them, while a product's low bits
+   depend only on the key's low bits.  Sequential IDs, the common
+   benign case, land about 0.618 of a table apart, in distinct slots
+   whenever the table holds them.  The keys are wire-supplied 32-bit
+   IDs, so an attacker controls them — the mix only has to spread
+   benign traffic, hostile traffic degenerates to slow path, never to
+   wrong answers. *)
 let index c ~k1 ~k2 =
-  let h = ((k1 * 0x9E3779B1) lxor (k2 * 0x85EBCA77)) land max_int in
-  (h lxor (h lsr 17)) land c.mask
+  let h = (k1 + (k2 * 0x2545F4914F6CDD1D)) * 0x4F1BBCDCBFA53E0B in
+  (h lsr c.shift) land c.mask
 
 (* [index] masks into the arrays, so unsafe reads below are in bounds
    by construction.  Occupancy lives in the key arrays alone: empty

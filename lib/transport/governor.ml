@@ -1,11 +1,16 @@
 type key = { conn : int; tpdu : int }
 
+(* A float cell of its own: a record of floats only is stored flat, so
+   refreshing a deadline writes the float in place instead of boxing
+   it. *)
+type deadline = { mutable at : float }
+
 (* A connection's entries form a doubly linked list, headed from
    [by_conn], so that [remove_conn] visits only that connection's
    entries; [nil] ends a list. *)
 type entry = {
   mutable bytes : int;
-  mutable deadline : float;
+  deadline : deadline;
   mutable cls : int;
   tpdu : int;
   mutable prev : entry;
@@ -13,7 +18,8 @@ type entry = {
 }
 
 let rec nil =
-  { bytes = 0; deadline = 0.0; cls = 0; tpdu = -1; prev = nil; next = nil }
+  { bytes = 0; deadline = { at = 0.0 }; cls = 0; tpdu = -1; prev = nil;
+    next = nil }
 
 type stats = {
   accounted_bytes : int;
@@ -78,12 +84,16 @@ let oldest g =
   Hashtbl.fold
     (fun k (e : entry) best ->
       match best with
-      | Some (_, d, c) when c > e.cls || (c = e.cls && d <= e.deadline) -> best
-      | _ -> Some (k, e.deadline, e.cls))
+      | Some (_, d, c) when c > e.cls || (c = e.cls && d <= e.deadline.at) ->
+          best
+      | _ -> Some (k, e.deadline.at, e.cls))
     g.tbl None
 
-let add g (k : key) ~bytes ~deadline ~cls =
-  let e = { bytes; deadline; cls; tpdu = k.tpdu; prev = nil; next = nil } in
+let add g (k : key) ~bytes ~now ~cls =
+  let e =
+    { bytes; deadline = { at = now +. g.ttl }; cls; tpdu = k.tpdu; prev = nil;
+      next = nil }
+  in
   Hashtbl.add g.tbl k e;
   (match Hashtbl.find_opt g.by_conn k.conn with
   | Some head ->
@@ -93,9 +103,9 @@ let add g (k : key) ~bytes ~deadline ~cls =
   Hashtbl.replace g.by_conn k.conn e
 
 let drop g k =
-  match Hashtbl.find_opt g.tbl k with
-  | None -> ()
-  | Some e ->
+  match Hashtbl.find g.tbl k with
+  | exception Not_found -> ()
+  | e ->
       g.total <- g.total - e.bytes;
       Hashtbl.remove g.tbl k;
       if e.prev != nil then e.prev.next <- e.next
@@ -103,17 +113,17 @@ let drop g k =
       else Hashtbl.remove g.by_conn k.conn;
       if e.next != nil then e.next.prev <- e.prev
 
-let touch ?(cls = 0) g ~key ~bytes ~now =
+let touch_class g ~cls ~key ~bytes ~now =
   let bytes = max 0 bytes in
   let cls = max 0 cls in
-  (match Hashtbl.find_opt g.tbl key with
-  | Some e ->
+  (match Hashtbl.find g.tbl key with
+  | e ->
       g.total <- g.total - e.bytes + bytes;
       e.bytes <- bytes;
-      e.deadline <- now +. g.ttl;
+      e.deadline.at <- now +. g.ttl;
       e.cls <- cls
-  | None ->
-      add g key ~bytes ~deadline:(now +. g.ttl) ~cls;
+  | exception Not_found ->
+      add g key ~bytes ~now ~cls;
       g.total <- g.total + bytes);
   (* Budget enforcement is synchronous: collect victims first so the
      disposal callbacks (which may remove further entries, e.g. a whole
@@ -139,6 +149,8 @@ let touch ?(cls = 0) g ~key ~bytes ~now =
   end;
   List.iter g.on_evict (List.rev !victims)
 
+let touch ?(cls = 0) g ~key ~bytes ~now = touch_class g ~cls ~key ~bytes ~now
+
 let remove g ~key =
   drop g key;
   if Obs.enabled then Obs.Metrics.set g_occ g.total
@@ -163,13 +175,15 @@ let mem g ~key = Hashtbl.mem g.tbl key
 let next_deadline g =
   Hashtbl.fold
     (fun _ (e : entry) best ->
-      match best with Some d when d <= e.deadline -> best | _ -> Some e.deadline)
+      match best with
+      | Some d when d <= e.deadline.at -> best
+      | _ -> Some e.deadline.at)
     g.tbl None
 
 let sweep g ~now =
   let due =
     Hashtbl.fold
-      (fun k (e : entry) acc -> if e.deadline <= now then k :: acc else acc)
+      (fun k (e : entry) acc -> if e.deadline.at <= now then k :: acc else acc)
       g.tbl []
   in
   List.iter (drop g) due;

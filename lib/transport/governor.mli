@@ -58,6 +58,10 @@ val touch : ?cls:int -> t -> key:key -> bytes:int -> now:float -> unit
     exactly the old oldest-deadline one.  The freshly touched entry goes
     last within its class, and only if it alone exceeds the budget. *)
 
+val touch_class : t -> cls:int -> key:key -> bytes:int -> now:float -> unit
+(** {!touch} with the class given: the receive path's form, which
+    builds no option for it. *)
+
 val remove : t -> key:key -> unit
 (** Forget an entry without counting an eviction (normal completion). *)
 

@@ -20,6 +20,7 @@ type archived = {
 
 type conn = {
   id : int;
+  key : Governor.key;  (* the connection's own account, built once *)
   acked : (int, unit) Hashtbl.t;  (* ACK ledger, shared across epochs *)
   last_reack : (int, float) Hashtbl.t;
   mutable live : R.t option;
@@ -113,13 +114,11 @@ let m_poisoned = Obs.Metrics.counter "multi_conns_poisoned_total"
 let g_live = Obs.Metrics.gauge "multi_live_conns"
 
 let now m = Netsim.Engine.now m.engine
-let conn_key id = { Governor.conn = id; tpdu = -1 }
-
 let conn_cost m = (m.quota_elems * m.config.elem_size) + 256
 
 let touch_conn m c =
   c.last_touch <- now m;
-  Governor.touch m.governor ~key:(conn_key c.id) ~bytes:(conn_cost m)
+  Governor.touch_class m.governor ~cls:0 ~key:c.key ~bytes:(conn_cost m)
     ~now:(now m);
   Governor.arm m.governor m.engine
 
@@ -406,6 +405,7 @@ let ensure_capacity m =
 let new_conn m id =
   {
     id;
+    key = { Governor.conn = id; tpdu = -1 };
     acked = Hashtbl.create 16;
     last_reack = Hashtbl.create 8;
     live = None;
@@ -550,12 +550,12 @@ let feed m rx b off =
    for an unknown connection is dropped with nothing allocated. *)
 let route m b off =
   let cid = Wire.Scan.c_id b off in
-  match Hashtbl.find_opt m.conns cid with
-  | None ->
+  match Hashtbl.find m.conns cid with
+  | exception Not_found ->
       m.counts.unknown_drops <- m.counts.unknown_drops + 1;
       if Obs.enabled then Obs.Metrics.incr m_unknown
-  | Some c when quarantine_active m c -> quarantine_drop m
-  | Some c -> (
+  | c when quarantine_active m c -> quarantine_drop m
+  | c -> (
       let t_id = Wire.Scan.t_id b off in
       match c.live with
       | Some rx ->
@@ -655,10 +655,11 @@ let m_ingest_batch = Obs.Metrics.histogram "transport_ingest_batch_packets"
    live, unfinished epoch qualifies — exactly the premises the fast
    dispatch re-checks physically on every probe. *)
 let maybe_cache_conn m cid =
-  match Hashtbl.find_opt m.conns cid with
-  | Some ({ live = Some rx; _ } as c) when R.stream_end_elems rx = None ->
+  match Hashtbl.find m.conns cid with
+  | { live = Some rx; _ } as c when R.stream_end_elems rx = None ->
       Flowcache.insert m.l2 ~k1:cid ~k2:0 { fc_conn = c; fc_rx = rx }
-  | Some _ | None -> ()
+  | _ -> ()
+  | exception Not_found -> ()
 
 (* The receive path (DESIGN §7).  One structural scan validates the
    whole packet; each scanned chunk then probes the connection cache.

@@ -44,7 +44,9 @@ type receiver_image = {
       (** placed destination bytes as (C.SN, bytes) runs, sorted and
           coalesced exactly as [Labelling.Placement.spans] reports *)
   ri_verified : (int * int) list;
-      (** verified cover as (C.SN, elements) spans, sorted, coalesced *)
+      (** verified cover as (C.SN, elements) spans, sorted, coalesced:
+          the receiver's maximal locked runs; on restore a span outside
+          the placement window is dropped *)
   ri_end_confirmed : int option;  (** last element's C.SN, once ACKed *)
   ri_end_claims : (int * int) list;
       (** per-TPDU end-of-stream claims not yet verified, by T.ID *)

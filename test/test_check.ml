@@ -224,6 +224,31 @@ let test_replay_rejects_invalid_schedule () =
     (Result.is_error
        (Check.Schedule.validate
           { base with Check.Schedule.snap_period = -1.0 }));
+  (* a crash restarting at or past the horizon would replay as a lockup
+     and a give-up instead of a schedule error *)
+  let crash_restart =
+    Check.Schedule.generate ~profile:Check.Schedule.Crash_restart ~seed:1
+  in
+  Alcotest.(check bool) "crash past the horizon rejected" true
+    (Result.is_error
+       (Check.Schedule.validate
+          {
+            crash_restart with
+            Check.Schedule.crashes =
+              [ { Check.Schedule.cr_time = 0.05; cr_restart = 2000.0 } ];
+          }));
+  (* the multi-connection path installs no overlapper, so an overlap
+     field there would be silently ignored *)
+  let overlap =
+    Check.Schedule.generate ~profile:Check.Schedule.Overlap_hostile ~seed:1
+  in
+  Alcotest.(check (result unit string))
+    "the overlap schedule validates" (Ok ())
+    (Check.Schedule.validate overlap);
+  Alcotest.(check bool) "overlap on two connections rejected" true
+    (Result.is_error
+       (Check.Schedule.validate
+          { overlap with Check.Schedule.connections = 2 }));
   (* a spec with a field no release knows is refused outright, and the
      offender is reported by name for the CLI diagnostic *)
   let with_bogus = Check.Schedule.to_string base ^ " bogus=1" in
@@ -237,8 +262,10 @@ let test_replay_rejects_invalid_schedule () =
     (Check.Schedule.of_string (Check.Schedule.to_string base ^ " data_len=5")
     = None);
   (* NaN passes every ordering test, so it must be refused on its own:
-     every float in the spec — bare, or one part of a colon record —
-     set to nan in turn still parses, and must not validate *)
+     every float in a spec — bare, or one part of a colon record — set
+     to nan in turn still parses, and must not validate.  Two all-faults
+     schedules hold every float field between them: the multi-path one
+     (flood, byz) and the single-path one (overlap). *)
   let full =
     {
       base with
@@ -286,11 +313,16 @@ let test_replay_rejects_invalid_schedule () =
           };
     }
   in
+  let full_multi = { full with Check.Schedule.overlap = None }
+  and full_single = { full with Check.Schedule.flood = None; byz = None } in
   Alcotest.(check (result unit string))
-    "the all-faults schedule validates" (Ok ())
-    (Check.Schedule.validate full);
-  let toks = String.split_on_char ' ' (Check.Schedule.to_string full) in
-  let nan_specs =
+    "the all-faults multi-path schedule validates" (Ok ())
+    (Check.Schedule.validate full_multi);
+  Alcotest.(check (result unit string))
+    "the all-faults single-path schedule validates" (Ok ())
+    (Check.Schedule.validate full_single);
+  let nan_specs full =
+    let toks = String.split_on_char ' ' (Check.Schedule.to_string full) in
     List.concat
       (List.mapi
          (fun i tok ->
@@ -316,9 +348,11 @@ let test_replay_rejects_invalid_schedule () =
              (List.init (List.length parts) Fun.id))
          toks)
   in
-  (* 11 bare floats; spread and dropper 1 each; ack_blackhole, outage,
-     flood, overlap, crashes and byz 2 each *)
-  Alcotest.(check int) "float positions" 25 (List.length nan_specs);
+  let nan_specs = nan_specs full_multi @ nan_specs full_single in
+  (* in each: 11 bare floats; spread and dropper 1 each; ack_blackhole,
+     outage and crashes 2 each; flood and byz 2 each in the multi-path
+     one, overlap 2 in the single-path one *)
+  Alcotest.(check int) "float positions" (23 + 21) (List.length nan_specs);
   List.iter
     (fun (what, s) ->
       Alcotest.(check bool) (what ^ " rejected") true

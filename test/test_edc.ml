@@ -360,25 +360,29 @@ let gen_arrivals =
       damage;
     return (Array.to_list arr, pad_seed))
 
-(* Feeding each chunk's payload in place, at a random offset inside a
-   larger buffer of random bytes, is indistinguishable from feeding the
-   chunk: the same events, counters and persisted images. *)
+(* Feeding each chunk in place — its wire image at a random offset
+   inside a larger buffer of random bytes, the labels read into a view
+   and the payload left where it is — is indistinguishable from feeding
+   the chunk: the same events, counters and persisted images. *)
 let prop_view_matches_chunk (arrivals, pad_seed) =
   let rand = Random.State.make [| pad_seed |] in
   let by_chunk = Edc.Verifier.create ~now:(fun () -> 0.0) () in
   let by_view = Edc.Verifier.create ~now:(fun () -> 0.0) () in
+  let view = Wire.Scan.view () in
   List.for_all
     (fun c ->
       let n = Bytes.length c.Chunk.payload in
       let lead = Random.State.int rand 64 in
       let buf =
         Bytes.init
-          (lead + n + Random.State.int rand 64)
+          (lead + Wire.header_size + n + Random.State.int rand 64)
           (fun _ -> Char.chr (Random.State.int rand 256))
       in
-      Bytes.blit c.Chunk.payload 0 buf lead n;
+      Wire.write_header buf lead c.Chunk.header;
+      Bytes.blit c.Chunk.payload 0 buf (lead + Wire.header_size) n;
+      Wire.Scan.read view buf lead;
       Edc.Verifier.on_chunk by_chunk c
-      = Edc.Verifier.on_view by_view c.Chunk.header buf lead)
+      = Edc.Verifier.on_view by_view view buf (lead + Wire.header_size))
     arrivals
   && Edc.Verifier.stats by_chunk = Edc.Verifier.stats by_view
   && Edc.Verifier.export by_chunk = Edc.Verifier.export by_view
@@ -390,7 +394,9 @@ let test_view_outside_buffer () =
   Alcotest.check_raises "payload past the end"
     (Invalid_argument "Verifier.on_view: payload outside the buffer")
     (fun () ->
-      ignore (Edc.Verifier.on_view v c.Chunk.header (Bytes.create (n + 3)) 4));
+      let view = Wire.Scan.view () in
+      Wire.Scan.read_header view c.Chunk.header;
+      ignore (Edc.Verifier.on_view v view (Bytes.create (n + 3)) 4));
   Alcotest.(check int) "nothing was counted" 0
     (Edc.Verifier.stats v).Edc.Verifier.chunks_seen
 

@@ -308,6 +308,35 @@ let test_sender_restore_rejects_adaptive () =
            ~send:(fun _ -> ())
            ~data:(Util.deterministic_bytes 512) si))
 
+(* The placement's lock map is the restored receiver's verified
+   coverage, so a verified span of the image that does not fit the
+   placement window — only a damaged or foreign image holds one — is
+   dropped whole: it is not exported again, and it cannot make the
+   stream complete (a separate span list kept it, and counted it). *)
+let test_restore_drops_out_of_window_verified () =
+  let engine = Netsim.Engine.create ~seed:1 () in
+  let restore ri_verified ~last =
+    let img =
+      CT.Receiver.export
+        (CT.Receiver.create engine config ~send_ack:ignore
+           ~capacity:(`Quota 64) ())
+    in
+    CT.Receiver.restore engine config ~send_ack:ignore ~capacity:(`Quota 64)
+      { img with Persist.ri_verified; ri_end_confirmed = Some last }
+      ~acked_tids:[]
+  in
+  let rx = restore [ (0, 8); (60, 10); (100, 4) ] ~last:7 in
+  Alcotest.(check (list (pair int int)))
+    "only the in-window span survives" [ (0, 8) ]
+    (CT.Receiver.export rx).Persist.ri_verified;
+  Alcotest.(check bool) "complete up to its end" true (CT.Receiver.complete rx);
+  let rx = restore [ (0, 70) ] ~last:69 in
+  Alcotest.(check (list (pair int int)))
+    "a span past the window is dropped" []
+    (CT.Receiver.export rx).Persist.ri_verified;
+  Alcotest.(check bool) "and does not complete the stream" false
+    (CT.Receiver.complete rx)
+
 let suite =
   [
     Util.qtest ~count:60
@@ -334,4 +363,6 @@ let suite =
       test_sender_restore;
     Alcotest.test_case "sender restore refuses adaptive sizing" `Quick
       test_sender_restore_rejects_adaptive;
+    Alcotest.test_case "restore drops a verified span outside the window"
+      `Quick test_restore_drops_out_of_window_verified;
   ]
